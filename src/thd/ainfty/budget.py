@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, UsageError
 
 DEFAULT_BUDGET = 10_000_000
 ENV_VAR = "THD_BUDGET"
@@ -15,9 +15,12 @@ def resolve_budget(explicit=None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise UsageError(f"{ENV_VAR} must be an integer, not {env!r}") from None
 
 
 class Budget:

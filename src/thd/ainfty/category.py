@@ -19,19 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PreconditionViolation
-
-Vec = Dict[int, object]
-
-
-def vadd(target: Vec, vec: Vec, scale) -> None:
-    """target += scale * vec, dropping zeros."""
-    for k, c in vec.items():
-        val = target.get(k)
-        val = c * scale if val is None else val + c * scale
-        if val:
-            target[k] = val
-        elif k in target:
-            del target[k]
+from .linalg import Vec, solve, vadd
 
 
 def vclean(vec: Vec) -> Vec:
@@ -158,55 +146,24 @@ def solve_identities(field, objects, dims, compose) -> Dict[object, Vec]:
         daa = cat.dim(a, a)
         if daa == 0:
             continue
-        rows: List[List] = []
-        rhs: List = []
+        columns: List[Vec] = [{} for _ in range(daa)]
+        rhs: Vec = {}
+        row = 0
         for b in objects:
-            for x in range(cat.dim(b, a)):
-                for out_idx in range(cat.dim(b, a)):
-                    row = []
+            # x . id_a = x for x: b -> a, then id_a . x = x for x: a -> b
+            for dim, product in ((cat.dim(b, a), lambda x, k: cat.diag(b, a, a, x, k)),
+                                 (cat.dim(a, b), lambda x, k: cat.diag(a, a, b, k, x))):
+                for x in range(dim):
                     for k in range(daa):
-                        row.append(cat.diag(b, a, a, x, k).get(out_idx, field.zero))
-                    rows.append(row)
-                    rhs.append(field.one if out_idx == x else field.zero)
-            for x in range(cat.dim(a, b)):
-                for out_idx in range(cat.dim(a, b)):
-                    row = []
-                    for k in range(daa):
-                        row.append(cat.diag(a, a, b, k, x).get(out_idx, field.zero))
-                    rows.append(row)
-                    rhs.append(field.one if out_idx == x else field.zero)
-        sol = _solve(rows, rhs, daa, field)
+                        for out_idx, c in product(x, k).items():
+                            columns[k][row + out_idx] = c
+                    rhs[row + x] = field.one
+                    row += dim
+        sol = solve(columns, rhs, field)
         if sol is None:
             raise PreconditionViolation(f"object {a!r} admits no identity morphism")
-        out[a] = vclean({k: c for k, c in enumerate(sol)})
+        out[a] = vclean(sol)
     return out
-
-
-def _solve(rows: List[List], rhs: List, ncols: int, field) -> Optional[List]:
-    """One solution of ``rows * x = rhs``, or None."""
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pv = aug[rank][col]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col] / pv
-                for c in range(col, ncols + 1):
-                    aug[r][c] = aug[r][c] - factor * aug[rank][c]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][ncols]:
-            return None
-    sol = [field.zero] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols] / aug[r][col]
-    return sol
 
 
 class Algebra:

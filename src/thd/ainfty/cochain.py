@@ -246,6 +246,27 @@ def cochain_basis(
     return keys
 
 
+def _differential_columns(cat, mod, source, target, normalized: bool, budget) -> List[Vec]:
+    """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys."""
+    index = {key: pos for pos, key in enumerate(target)}
+    columns: List[Vec] = []
+    for chain, args, m in source:
+        f = Cochain(cat, mod, len(args), {(chain, args): {m: cat.field.one}})
+        col: Vec = {}
+        for (dchain, dargs), vec in hochschild_differential(f, budget).data.items():
+            for mm, c in vec.items():
+                pos = index.get((dchain, dargs, mm))
+                if pos is None:
+                    if normalized:
+                        # the normalized subcomplex is closed under d;
+                        # a leak means corrupted structure tensors
+                        raise PreconditionViolation("differential left the normalized subcomplex")
+                    continue
+                col[pos] = c
+        columns.append(col)
+    return columns
+
+
 def hh_dimensions(
     cat: FiniteLinearCategory,
     mod: CentralBimodule,
@@ -262,41 +283,12 @@ def hh_dimensions(
     if normalized is None:
         normalized = cat.identities_basis_aligned()
     bases = [cochain_basis(cat, mod, k, normalized, budget) for k in range(up_to + 2)]
-    index = [{key: pos for pos, key in enumerate(b)} for b in bases]
-    ranks: List[int] = []
+    ranks = []
     for k in range(up_to + 1):
-        row_index = index[k + 1]
-        nrows = len(bases[k + 1])
-        columns: List[Dict[int, object]] = []
-        for (chain, args, m) in bases[k]:
-            f = Cochain(cat, mod, k, {(chain, args): {m: cat.field.one}})
-            df = hochschild_differential(f, budget)
-            col: Dict[int, object] = {}
-            for (dchain, dargs), vec in df.data.items():
-                for mm, c in vec.items():
-                    if not c:
-                        continue
-                    pos = row_index.get((dchain, dargs, mm))
-                    if pos is None:
-                        if normalized:
-                            # the normalized subcomplex is closed under d;
-                            # a leak means corrupted structure tensors
-                            raise PreconditionViolation(
-                                "differential left the normalized subcomplex"
-                            )
-                        continue
-                    col[pos] = c
-            columns.append(col)
-        matrix = [[cat.field.zero] * len(columns) for _ in range(nrows)]
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                matrix[i][j] = c
-        ranks.append(exact_rank(matrix))
-    dims = []
-    for k in range(up_to + 1):
-        nullity = len(bases[k]) - ranks[k]
-        dims.append(nullity - (ranks[k - 1] if k > 0 else 0))
-    return dims
+        columns = _differential_columns(cat, mod, bases[k], bases[k + 1], normalized, budget)
+        ranks.append(exact_rank(columns, cat.field))
+    # dim HH^k = dim ker d_k - rank d_{k-1}
+    return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
 
 
 def hh_dimension(
@@ -322,24 +314,13 @@ def cocycle_space(
         normalized = cat.identities_basis_aligned()
     basis = cochain_basis(cat, mod, degree, normalized, budget)
     target = cochain_basis(cat, mod, degree + 1, normalized, budget)
-    tindex = {key: pos for pos, key in enumerate(target)}
-    rows = [[cat.field.zero] * len(basis) for _ in range(len(target))]
-    for j, (chain, args, m) in enumerate(basis):
-        df = hochschild_differential(
-            Cochain(cat, mod, degree, {(chain, args): {m: cat.field.one}}), budget
-        )
-        for (dchain, dargs), vec in df.data.items():
-            for mm, c in vec.items():
-                pos = tindex.get((dchain, dargs, mm))
-                if pos is not None:
-                    rows[pos][j] = c
+    columns = _differential_columns(cat, mod, basis, target, normalized, budget)
     out = []
-    for coeffs in nullspace(rows, len(basis), cat.field):
+    for coeffs in nullspace(columns, cat.field):
         data: Dict = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                chain, args, m = basis[j]
-                data.setdefault((chain, args), {})[m] = c
+        for j, c in coeffs.items():
+            chain, args, m = basis[j]
+            data.setdefault((chain, args), {})[m] = c
         out.append(Cochain(cat, mod, degree, data))
     return out
 

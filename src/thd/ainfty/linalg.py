@@ -1,68 +1,84 @@
-"""Dense exact linear algebra over an arbitrary field.
+"""Sparse exact linear algebra over an arbitrary field.
 
-Matrices are lists of row lists of field elements.  Sizes here are small
-(cochain spaces of the bundled examples), so plain Gaussian elimination is
-the right tool.
+A matrix is a list of sparse columns ``{row: value}`` of field elements.  The
+Hochschild differentials handed in here hold a few nonzeros per column among
+thousands of rows, so one routine reduces the columns left to right and
+touches only the rows that hold a nonzero (in the spirit of Markowitz, 1957).
+Rank, a nullspace basis and a particular solution all come out of it.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence
+
+Vec = Dict[int, object]
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank by row reduction; the input is not modified."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                factor = m[r][col] / pv
-                row = m[r]
-                prow = m[rank]
-                for c in range(col, ncols):
-                    row[c] = row[c] - factor * prow[c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def vadd(target: Vec, vec: Vec, scale) -> None:
+    """target += scale * vec, dropping zeros."""
+    for k, c in vec.items():
+        val = target.get(k)
+        val = c * scale if val is None else val + c * scale
+        if val:
+            target[k] = val
+        elif k in target:
+            del target[k]
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int, field) -> List[List]:
-    """Basis of the kernel of the matrix (rows act on column vectors)."""
-    m = [list(r) for r in rows]
-    pivots: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col] / pv
-                for c in range(col, ncols):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
-        pivots.append(col)
-        rank += 1
-        if rank == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for r, pc in enumerate(pivots):
-            if m[r][fc]:
-                vec[pc] = -(m[r][fc] / m[r][pc])
-        basis.append(vec)
-    return basis
+class Echelon:
+    """Columns reduced left to right into an echelon form keyed by leading row.
+
+    A pivot is stored with its leading entry scaled to one, together with the
+    combination of input columns that produces it; only pivot columns occur
+    in those.  A column that reduces to zero leaves its combination in
+    ``null``: the kernel vector with a one at that free column and zeros at
+    the others, the basis reduced row echelon form gives, in the same order.
+    """
+
+    def __init__(self, columns: Sequence[Vec], field):
+        self.pivots: Dict[int, tuple] = {}
+        self.null: List[Vec] = []
+        for j, col in enumerate(columns):
+            vec, combo = self.reduce(col, {j: field.one})
+            if vec:
+                lead = min(vec)
+                inv = 1 / vec[lead]
+                self.pivots[lead] = ({r: inv * c for r, c in vec.items()},
+                                     {k: inv * c for k, c in combo.items()})
+            else:
+                self.null.append(dict(sorted(combo.items())))
+
+    def reduce(self, col: Vec, combo: Vec):
+        """Subtract pivots from ``col`` until its leading row is no pivot's.
+
+        Returns the residue, which is zero exactly when ``col`` lies in the
+        span of the pivots, and ``combo`` minus the combinations subtracted.
+        """
+        vec = {r: c for r, c in col.items() if c}
+        while vec:
+            lead = min(vec)
+            pivot = self.pivots.get(lead)
+            if pivot is None:
+                break
+            factor = -vec[lead]
+            vadd(vec, pivot[0], factor)
+            vadd(combo, pivot[1], factor)
+        return vec, combo
+
+
+def exact_rank(columns: Sequence[Vec], field) -> int:
+    """Rank of the matrix with the given sparse columns."""
+    return len(Echelon(columns, field).pivots)
+
+
+def nullspace(columns: Sequence[Vec], field) -> List[Vec]:
+    """Reduced-echelon basis of the kernel, one sparse vector per free column."""
+    return Echelon(columns, field).null
+
+
+def solve(columns: Sequence[Vec], rhs: Vec, field) -> Optional[Vec]:
+    """One solution of ``A x = rhs`` with every free variable zero, or None."""
+    residue, combo = Echelon(columns, field).reduce(rhs, {})
+    if residue:
+        return None
+    return {k: -c for k, c in sorted(combo.items())}

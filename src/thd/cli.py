@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import ainfty as ai
-from .errors import BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation
+from .errors import (BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation,
+                     UsageError)
 from .hochschild import (
     candidate_search,
     guaranteed_kernel_check,
@@ -40,10 +41,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONSISTENT = 4
 EXIT_BUDGET = 5
-
-
-class OracleDisagreement(ExactnessViolation):
-    pass
 
 
 def _parse_range(text: str):
@@ -98,7 +95,7 @@ def cmd_kernel(args, parser) -> int:
             if table.get(m, 0) != ledger.kernel_of_fstar.get(m, 0)
         }
         if mismatches:
-            raise OracleDisagreement(
+            raise ExactnessViolation(
                 f"closed form and exact-sequence ledger disagree at {mismatches}"
             )
         verified = True
@@ -128,6 +125,13 @@ def cmd_quadric(args, parser) -> int:
     return 0
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _load_subject(args, parser):
     """Resolve --example / --category [--cochain] into a structure or category."""
     if args.example and args.category:
@@ -137,7 +141,7 @@ def _load_subject(args, parser):
         entry["source"] = f"example {args.example}"
         return entry
     if args.category:
-        cat = ai.parse_category(Path(args.category).read_text())
+        cat = ai.parse_category(_read(args.category))
         entry = {
             "kind": "category",
             "category": cat,
@@ -146,7 +150,7 @@ def _load_subject(args, parser):
             "source": args.category,
         }
         if getattr(args, "cochain", None):
-            eta = ai.parse_cochain(Path(args.cochain).read_text(), cat, entry["bimodule"])
+            eta = ai.parse_cochain(_read(args.cochain), cat, entry["bimodule"])
             entry["cochain"] = eta
         return entry
     parser.error("one of --example or --category is required")
@@ -333,10 +337,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (OracleDisagreement, ExactnessViolation) as exc:
+    except ExactnessViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except (PreconditionViolation, NotACocycle) as exc:

@@ -22,3 +22,7 @@ class NotACocycle(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration outgrew the configured evaluation budget."""
+
+
+class UsageError(ValueError):
+    """A command-line argument or environment setting cannot be used as given."""

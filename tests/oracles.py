@@ -112,3 +112,94 @@ def brute_projective_hodge(m: int, p: int, i: int, j: int) -> int:
 
     free_dim = comb(nv, l) * len(_monomials(nv, p - l))
     return _syzygy_h0(m, l - 1, p) + _syzygy_h0(m, l, p) - free_dim
+
+
+# Dense Gaussian elimination over any field: the routines the library used
+# before its sparse elimination core, kept as oracles for it.  Matrices are
+# lists of row lists of field elements.
+
+
+def dense_rank(rows):
+    """Rank by row reduction; the input is not modified."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                factor = m[r][col] / pv
+                row = m[r]
+                prow = m[rank]
+                for c in range(col, ncols):
+                    row[c] = row[c] - factor * prow[c]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def dense_nullspace(rows, ncols, field):
+    """Basis of the kernel from the reduced row echelon form, one vector per
+    free column in increasing order."""
+    m = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col] / pv
+                for c in range(col, ncols):
+                    m[r][c] = m[r][c] - factor * m[rank][c]
+        pivots.append(col)
+        rank += 1
+        if rank == len(m):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for r, pc in enumerate(pivots):
+            if m[r][fc]:
+                vec[pc] = -(m[r][fc] / m[r][pc])
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(rows, rhs, ncols, field):
+    """One solution of ``rows * x = rhs`` with the free variables zero, or None."""
+    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(aug)) if aug[r][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        pv = aug[rank][col]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col]:
+                factor = aug[r][col] / pv
+                for c in range(col, ncols + 1):
+                    aug[r][c] = aug[r][c] - factor * aug[rank][c]
+        pivots.append(col)
+        rank += 1
+    for r in range(rank, len(aug)):
+        if aug[r][ncols]:
+            return None
+    sol = [field.zero] * ncols
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][ncols] / aug[r][col]
+    return sol

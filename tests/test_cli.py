@@ -303,3 +303,35 @@ def test_cli_hhdim_from_file(tmp_path, capsys):
                        "--up-to", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["entries"][1:] == [["0", "2"], ["1", "1"], ["2", "1"]]
+
+
+def test_missing_input_files_are_usage_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, "ainfty", "hhdim", "--category", missing)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "cannot read" in err and "missing.txt" in err
+    cat_file = tmp_path / "cat.txt"
+    cat_file.write_text(CATEGORY_TEXT)
+    code, _, err = run(capsys, "ainfty", "deform", "--category", str(cat_file),
+                       "--cochain", missing)
+    assert code == 2 and err.count("\n") == 1 and "missing.txt" in err
+
+
+def test_malformed_budget_variable_is_a_usage_error(capsys, monkeypatch):
+    from thd.ainfty.budget import resolve_budget
+    from thd.errors import UsageError
+
+    monkeypatch.setenv("THD_BUDGET", "abc")
+    with pytest.raises(UsageError):
+        resolve_budget()
+    code, out, err = run(capsys, "ainfty", "verify", "--example", "dual-deformed")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "THD_BUDGET" in err and "'abc'" in err
+
+
+def test_composite_field_order_is_a_precondition_failure(tmp_path, capsys):
+    cat_file = tmp_path / "cat.txt"
+    cat_file.write_text(CATEGORY_TEXT.replace("field Q", "field F 4"))
+    code, out, err = run(capsys, "ainfty", "hhdim", "--category", str(cat_file))
+    assert code == 3 and out == ""
+    assert "not prime" in err

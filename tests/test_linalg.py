@@ -1,0 +1,187 @@
+"""The sparse elimination core against dense oracles, and the fields it runs on."""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oracles import PRIME, dense_nullspace, dense_rank, dense_solve, rank_mod_p
+from thd.ainfty import QQ, PrimeField, build_example, example_names, field_by_name, hh_dimensions
+from thd.ainfty.fields import is_prime
+from thd.ainfty.linalg import exact_rank, nullspace, solve
+from thd.errors import PreconditionViolation
+
+FIELDS = (QQ, PrimeField(PRIME), PrimeField(7))
+
+
+def _sparse(rng, nrows, ncols, density):
+    return [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def known_rank_matrix(rng, nrows, ncols, rank, density=0.3):
+    """An integer matrix ``L U`` of rank exactly ``rank`` over every field.
+
+    ``L`` (nrows x rank) holds an identity on ``rank`` of its rows and ``U``
+    (rank x ncols) one on ``rank`` of its columns, so ``L`` is injective and
+    ``U`` surjective whatever the characteristic.
+    """
+    L = _sparse(rng, nrows, rank, density)
+    U = _sparse(rng, rank, ncols, density)
+    for t, r in enumerate(rng.sample(range(nrows), rank)):
+        L[r] = [int(t == s) for s in range(rank)]
+    for t, c in enumerate(rng.sample(range(ncols), rank)):
+        for s in range(rank):
+            U[s][c] = int(t == s)
+    return [[sum(L[i][s] * U[s][j] for s in range(rank)) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+def cases(seeds=range(60)):
+    """Seeded (field, integer matrix, known rank or None) triples."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        field = FIELDS[seed % len(FIELDS)]
+        nrows, ncols = rng.randint(0, 12), rng.randint(0, 12)
+        if seed % 2:
+            rank = rng.randint(0, min(nrows, ncols))
+            yield field, known_rank_matrix(rng, nrows, ncols, rank), rank
+        else:
+            yield field, _sparse(rng, nrows, ncols, rng.choice((0.1, 0.3, 0.6))), None
+
+
+def as_field(field, ints):
+    return [[field.of(v) for v in row] for row in ints]
+
+
+def columns_of(rows, ncols):
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
+
+
+def dense_vec(vec, n, field):
+    return [vec.get(j, field.zero) for j in range(n)]
+
+
+@pytest.mark.parametrize("field,ints,known", list(cases()))
+def test_rank_matches_dense_and_modular_oracles(field, ints, known):
+    ncols = len(ints[0]) if ints else 0
+    rows = as_field(field, ints)
+    rank = exact_rank(columns_of(rows, ncols), field)
+    assert rank == dense_rank(rows)
+    if known is not None:
+        assert rank == known
+    if ints and ncols:
+        modular = rank_mod_p(np.array(ints, dtype=np.int64))
+        if field == PrimeField(PRIME) or known is not None:
+            assert modular == rank
+        elif field == QQ:
+            assert modular <= rank  # reducing mod p can only lose rank
+
+
+@pytest.mark.parametrize("field,ints,known", list(cases()))
+def test_nullspace_matches_dense_oracle_vector_for_vector(field, ints, known):
+    ncols = len(ints[0]) if ints else 0
+    rows = as_field(field, ints)
+    basis = nullspace(columns_of(rows, ncols), field)
+    assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
+    assert all(list(v) == sorted(v) and all(v.values()) for v in basis)
+    if known is not None:
+        assert len(basis) == ncols - known
+
+
+@pytest.mark.parametrize("field,ints,known", list(cases()))
+def test_solve_matches_dense_oracle(field, ints, known):
+    ncols = len(ints[0]) if ints else 0
+    rows = as_field(field, ints)
+    rng = random.Random(len(ints) * 31 + ncols)
+    x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
+    image = [sum((r[j] * x0[j] for j in range(ncols)), field.zero) for r in rows]
+    other = [field.of(rng.randint(-2, 2)) for _ in rows]
+    columns = columns_of(rows, ncols)
+    for rhs in (image, other):
+        got = solve(columns, {i: c for i, c in enumerate(rhs) if c}, field)
+        want = dense_solve(rows, rhs, ncols, field)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dense_vec(got, ncols, field) == want
+    assert solve(columns, {i: c for i, c in enumerate(image) if c}, field) is not None
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_solve_reports_no_solution(field):
+    rng = random.Random(5)
+    ints = known_rank_matrix(rng, 6, 5, 3)
+    ints[2] = [0] * 5  # row 2 of A x can never reach a nonzero value
+    rows = as_field(field, ints)
+    rhs = {2: field.one}
+    assert solve(columns_of(rows, 5), rhs, field) is None
+    assert dense_solve(rows, [rhs.get(i, field.zero) for i in range(6)], 5, field) is None
+
+
+def test_echelon_on_empty_and_zero_matrices():
+    assert exact_rank([], QQ) == 0
+    assert exact_rank([{}, {}], QQ) == 0
+    assert nullspace([{}, {}], QQ) == [{0: QQ.one}, {1: QQ.one}]
+    assert solve([], {}, QQ) == {} and solve([], {0: QQ.one}, QQ) is None
+    # explicit zeros in the input are ignored
+    assert exact_rank([{0: QQ.zero, 3: Fraction(2)}], QQ) == 1
+
+
+# ------------------------------------------------------------------- fields
+def test_division_from_the_left_by_field_elements():
+    F = PrimeField(7)
+    assert 1 / F.of(3) == F.of(5)
+    assert 4 / F.of(2) == F.of(2)
+    assert 1 / QQ.of(3) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        1 / F.zero
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n > 1 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+    assert all(is_prime(n) == trial(n) for n in range(-3, 20_000))
+    # strong pseudoprimes to the first few prime bases, and Carmichael numbers
+    for n in (561, 2047, 1_373_653, 25_326_001, 3_215_031_751, 3_825_123_056_546_413_051,
+              318_665_857_834_031_151_167_461):
+        assert not is_prime(n)
+    assert is_prime(32003) and is_prime(PRIME) and is_prime(2 ** 61 - 1)
+    assert not is_prime((2 ** 31 - 1) * (2 ** 61 - 1))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 561, 32001])
+def test_prime_field_rejects_composite_moduli(p):
+    with pytest.raises(PreconditionViolation, match="not prime"):
+        PrimeField(p)
+
+
+def test_field_by_name_rejects_composite_modulus():
+    assert field_by_name("F 5") == PrimeField(5)
+    with pytest.raises(PreconditionViolation):
+        field_by_name("F 4")
+
+
+# ---------------------------------------------------------------- cross-field
+@pytest.mark.parametrize("name", [n for n in example_names()
+                                  if build_example(n)["kind"] == "category"])
+def test_hh_dimensions_agree_over_q_and_a_large_prime(name):
+    q = build_example(name, QQ)
+    f = build_example(name, PrimeField(1_000_003))
+    assert q["category"].identities_basis_aligned() == f["category"].identities_basis_aligned()
+    models = [False] + ([True] if q["category"].identities_basis_aligned() else [])
+    for normalized in models:
+        want = hh_dimensions(q["category"], q["bimodule"], 4, normalized=normalized)
+        got = hh_dimensions(f["category"], f["bimodule"], 4, normalized=normalized)
+        assert got == want
+
+
+def test_identity_solve_on_an_idempotent_basis():
+    from thd.ainfty import parse_category
+
+    text = ("objects a\nhom a a 2\n"
+            "compose a a a 0 0 0 1\ncompose a a a 1 1 1 1\n")  # k x k, basis e1, e2
+    cat = parse_category(text)
+    assert cat.identity_vector("a") == {0: QQ.one, 1: QQ.one}
+    with pytest.raises(PreconditionViolation, match="no identity"):
+        parse_category("objects a\nhom a a 2\ncompose a a a 0 0 0 1\n")
