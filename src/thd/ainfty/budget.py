@@ -1,4 +1,4 @@
-"""Evaluation budget guarding exhaustive basis-tuple enumerations."""
+"""Evaluation budget guarding cochain-basis enumerations and Stasheff joins."""
 
 from __future__ import annotations
 
@@ -13,18 +13,22 @@ ENV_VAR = "THD_BUDGET"
 def resolve_budget(explicit=None) -> int:
     """Explicit value, else the THD_BUDGET environment variable, else default."""
     if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(ENV_VAR)
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{ENV_VAR} must be an integer, not {env!r}") from None
+        limit = int(explicit)
+    else:
+        env = os.environ.get(ENV_VAR)
+        if env is None:
+            return DEFAULT_BUDGET
+        try:
+            limit = int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_VAR} must be an integer, not {env!r}") from None
+    if limit < 0:
+        raise UsageError(f"the evaluation budget must be >= 0, not {limit}")
+    return limit
 
 
 class Budget:
-    """A consumable counter of basis-tuple evaluations."""
+    """A consumable counter of evaluations (cochain keys, Stasheff joins)."""
 
     def __init__(self, limit=None):
         self.limit = resolve_budget(limit)

@@ -186,6 +186,8 @@ class StasheffReport:
     ``ks_evaluated`` lists the arities whose identity has any term at all
     for the structure's product support; for support ``{2, n}`` these are
     ``{3, n+1, 2n-1}``, and every other identity holds vacuously.
+    ``evaluations`` counts the terms evaluated: joins of an inner product
+    entry with an outer one, not basis tuples.
     """
 
     passed: bool
@@ -201,69 +203,75 @@ class StasheffReport:
         ks = ", ".join(map(str, self.ks_evaluated)) or "none"
         if self.passed and self.unital:
             return (
-                f"PASS through k={self.k_max} ({self.evaluations} tuple evaluations; "
+                f"PASS through k={self.k_max} ({self.evaluations} joins; "
                 f"identities with terms at k in {{{ks}}}, the rest vacuous)"
             )
         if not self.passed:
             k, chain, args = self.first_failure
             return (
                 f"FAIL at k={k} on chain {chain} args {args} "
-                f"(residual {self.residual}; {self.evaluations} tuple evaluations)"
+                f"(residual {self.residual}; {self.evaluations} joins)"
             )
         return f"UNITALITY FAIL: {self.unital_failure}"
 
 
 def verify_stasheff(A: AInfinityStructure, k_max: int, budget: Optional[Budget] = None) -> StasheffReport:
-    """Exhaustively evaluate the identities for ``k <= k_max`` on all basis tuples.
+    """Evaluate the identities for ``k <= k_max`` by joining the product tables.
 
-    Also checks strict unitality: ``m_1(Id) = 0``, ``m_2`` unit laws, and
-    ``m_s`` vanishing on any identity argument for ``s != 2``.  Reports the
-    first failing identity (smallest ``k``).
+    Each nonzero term ``m_u(.., m_s(..), ..)`` joins an inner ``m_s`` entry
+    with an outer ``m_u`` entry whose slot ``r`` takes the inner output;
+    only these joins are evaluated (one budget charge each) and summed per
+    ``(chain, args)``.  The first failure is the smallest key with a
+    nonzero residual at the smallest failing ``k``: chains ordered by the
+    positions of their objects in ``A.objects``, then ``args``.  Also checks
+    strict unitality: ``m_1(Id) = 0``, ``m_2`` unit laws, and ``m_s``
+    vanishing on any identity argument for ``s != 2``.
     """
     budget = budget or Budget()
     support = A.support()
+    one = A.field.one
+    position = {a: i for i, a in enumerate(A.objects)}
+    entries = {s: [(chain, args, vec) for (chain, args), vec in A.ops[s].items()
+                   if _is_basis_key(A, position, s, chain, args)] for s in support}
+    outer: Dict[Tuple, List] = {}  # (u, r, chain[r], chain[r + 1], args[r]) -> m_u entries
+    for u in support:
+        for entry in entries[u]:
+            chain, args, _ = entry
+            for r in range(u):
+                outer.setdefault((u, r, chain[r], chain[r + 1], args[r]), []).append(entry)
     evaluations = 0
     ks_evaluated = []
     for k in range(1, k_max + 1):
-        relevant = [
-            (r, s) for s in support for r in range(0, k - s + 1) if (r + 1 + (k - r - s)) in support
-        ]
+        relevant = [(r, s) for s in support for r in range(k - s + 1) if k - s + 1 in support]
         if not relevant:
             continue
         ks_evaluated.append(k)
-        for chain in _chains(A, k):
-            dims = [A.dim(chain[l], chain[l + 1]) for l in range(k)]
-            for args in itertools.product(*[range(dd) for dd in dims]):
-                budget.charge()
-                evaluations += 1
-                total: Vec = {}
-                for s in support:
-                    for r in range(0, k - s + 1):
-                        t = k - r - s
-                        u = r + 1 + t
-                        if u not in support:
-                            continue
-                        inner = A.apply(s, chain[r : r + s + 1], args[r : r + s])
-                        if not inner:
-                            continue
-                        koszul = (2 - s) * sum(
-                            A.deg(chain[l], chain[l + 1], args[l]) for l in range(r)
-                        )
-                        sign_pos = (r + s * t + koszul) % 2 == 0
-                        scale = A.field.one if sign_pos else -A.field.one
-                        outer_chain = chain[: r + 1] + chain[r + s :]
-                        for y, cy in inner.items():
-                            outer_args = args[:r] + (y,) + args[r + s :]
-                            out = A.apply(u, outer_chain, outer_args)
-                            if out:
-                                vadd(total, out, scale * cy)
-                if vclean(total):
-                    return StasheffReport(
-                        False, k_max, evaluations, tuple(ks_evaluated),
-                        first_failure=(k, chain, args), residual=vclean(total),
-                    )
+        totals: Dict[Tuple, Vec] = {}
+        for r, s in relevant:
+            u = k - s + 1
+            for ichain, iargs, inner in entries[s]:
+                for y, cy in inner.items():
+                    for ochain, oargs, out in outer.get((u, r, ichain[0], ichain[-1], y), ()):
+                        budget.charge()
+                        evaluations += 1
+                        koszul = (2 - s) * sum(A.deg(ochain[l], ochain[l + 1], oargs[l]) for l in range(r))
+                        scale = one if (r + s * (u - 1 - r) + koszul) % 2 == 0 else -one
+                        # the inner chain and arguments replace slot r of the outer ones
+                        key = (ochain[:r] + ichain + ochain[r + 2 :], oargs[:r] + iargs + oargs[r + 1 :])
+                        vadd(totals.setdefault(key, {}), out, scale * cy)
+        failing = [key for key, total in totals.items() if total]  # vadd drops zeros
+        if failing:
+            chain, args = min(failing, key=lambda key: ([position[a] for a in key[0]], key[1]))
+            return StasheffReport(False, k_max, evaluations, tuple(ks_evaluated),
+                                  first_failure=(k, chain, args), residual=totals[(chain, args)])
     ok, msg = _check_unitality(A, budget)
     return StasheffReport(True, k_max, evaluations, tuple(ks_evaluated), unital=ok, unital_failure=msg)
+
+
+def _is_basis_key(A: AInfinityStructure, position, s: int, chain: Tuple, args: Tuple) -> bool:
+    """Whether an ``m_s`` key is a composable chain with basis arguments."""
+    return (len(chain) == s + 1 and len(args) == s and all(a in position for a in chain)
+            and all(args[l] in range(A.dim(chain[l], chain[l + 1])) for l in range(s)))
 
 
 def _check_unitality(A: AInfinityStructure, budget: Budget) -> Tuple[bool, Optional[str]]:
@@ -300,23 +308,6 @@ def _check_unitality(A: AInfinityStructure, budget: Budget) -> Tuple[bool, Optio
                 if vclean(A.apply_vecs(s, chain, vecs)):
                     return False, f"m_{s} does not vanish on an identity argument at {chain}"
     return True, None
-
-
-def _chains(A: AInfinityStructure, length: int):
-    def rec(chain):
-        if len(chain) == length + 1:
-            yield tuple(chain)
-            return
-        for b in A.objects:
-            if A.dim(chain[-1], b):
-                chain.append(b)
-                yield from rec(chain)
-                chain.pop()
-    for a in A.objects:
-        if length == 0:
-            yield (a,)
-        else:
-            yield from rec([a])
 
 
 def tensor_with_algebra(obj, gamma: Algebra):

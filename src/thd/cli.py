@@ -164,7 +164,13 @@ def _as_structure(entry, budget):
     return ai.from_linear_category(entry["category"])
 
 
+def _nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{flag} must be >= 0, not {value}")
+
+
 def cmd_ainfty_verify(args, parser) -> int:
+    _nonnegative("--k-max", args.k_max)
     budget = ai.Budget(args.budget)
     entry = _load_subject(args, parser)
     A = _as_structure(entry, budget)
@@ -189,6 +195,7 @@ def cmd_ainfty_verify(args, parser) -> int:
 
 
 def cmd_ainfty_hhdim(args, parser) -> int:
+    _nonnegative("--up-to", args.up_to)
     budget = ai.Budget(args.budget)
     entry = _load_subject(args, parser)
     if entry["kind"] != "category":

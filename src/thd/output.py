@@ -15,9 +15,6 @@ from typing import Dict, List
 
 from .hodge import TwistedHodgeDiamond
 
-KINDS = ("diamond", "profile", "kernel_table", "search_table", "ainfty_report")
-
-
 @dataclass
 class OutputDocument:
     kind: str

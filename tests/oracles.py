@@ -15,9 +15,13 @@ failure, never as a silent pass.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
+
+from thd.ainfty import Budget, StasheffReport
+from thd.ainfty.linalg import vadd
+from thd.ainfty.structure import _check_unitality
 
 PRIME = 1_000_003
 
@@ -203,3 +207,78 @@ def dense_solve(rows, rhs, ncols, field):
     for r, col in enumerate(pivots):
         sol[col] = aug[r][ncols] / aug[r][col]
     return sol
+
+
+# The exhaustive Stasheff check: the verifier the library used before it
+# joined the sparse product tables, kept as the oracle for it.  It
+# evaluates the identity at every composable chain and every basis tuple,
+# in the order chains (by the positions of their objects), then arguments,
+# and stops at the first tuple with a nonzero residual.
+
+
+def _composable_chains(A, length):
+    def rec(chain):
+        if len(chain) == length + 1:
+            yield tuple(chain)
+            return
+        for b in A.objects:
+            if A.dim(chain[-1], b):
+                chain.append(b)
+                yield from rec(chain)
+                chain.pop()
+
+    for a in A.objects:
+        if length == 0:
+            yield (a,)
+        else:
+            yield from rec([a])
+
+
+def exhaustive_stasheff(A, k_max, budget=None):
+    """``verify_stasheff`` by evaluating every basis tuple; ``evaluations``
+    counts tuples."""
+    budget = budget or Budget()
+    support = A.support()
+    evaluations = 0
+    ks_evaluated = []
+    for k in range(1, k_max + 1):
+        relevant = [
+            (r, s) for s in support for r in range(0, k - s + 1) if (r + 1 + (k - r - s)) in support
+        ]
+        if not relevant:
+            continue
+        ks_evaluated.append(k)
+        for chain in _composable_chains(A, k):
+            dims = [A.dim(chain[l], chain[l + 1]) for l in range(k)]
+            for args in product(*[range(dd) for dd in dims]):
+                budget.charge()
+                evaluations += 1
+                total = {}
+                for s in support:
+                    for r in range(0, k - s + 1):
+                        t = k - r - s
+                        u = r + 1 + t
+                        if u not in support:
+                            continue
+                        inner = A.apply(s, chain[r : r + s + 1], args[r : r + s])
+                        if not inner:
+                            continue
+                        koszul = (2 - s) * sum(
+                            A.deg(chain[l], chain[l + 1], args[l]) for l in range(r)
+                        )
+                        sign_pos = (r + s * t + koszul) % 2 == 0
+                        scale = A.field.one if sign_pos else -A.field.one
+                        outer_chain = chain[: r + 1] + chain[r + s :]
+                        for y, cy in inner.items():
+                            outer_args = args[:r] + (y,) + args[r + s :]
+                            out = A.apply(u, outer_chain, outer_args)
+                            if out:
+                                vadd(total, out, scale * cy)
+                residual = {i: c for i, c in total.items() if c}
+                if residual:
+                    return StasheffReport(
+                        False, k_max, evaluations, tuple(ks_evaluated),
+                        first_failure=(k, chain, args), residual=residual,
+                    )
+    ok, msg = _check_unitality(A, budget)
+    return StasheffReport(True, k_max, evaluations, tuple(ks_evaluated), unital=ok, unital_failure=msg)

@@ -335,3 +335,23 @@ def test_composite_field_order_is_a_precondition_failure(tmp_path, capsys):
     code, out, err = run(capsys, "ainfty", "hhdim", "--category", str(cat_file))
     assert code == 3 and out == ""
     assert "not prime" in err
+
+
+def test_negative_up_to_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ainfty", "hhdim", "--example", "k", "--up-to", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "--up-to" in err
+
+
+def test_negative_k_max_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ainfty", "verify", "--example", "dual-deformed",
+                         "--k-max", "-2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "--k-max" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "ainfty", "verify", "--example", "dual-deformed",
+                         "--budget", "-1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "budget" in err

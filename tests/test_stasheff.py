@@ -1,0 +1,174 @@
+"""The sparse Stasheff verifier against the exhaustive tuple-by-tuple oracle.
+
+Every report field that does not count work must agree: ``passed``,
+``ks_evaluated``, ``first_failure``, ``residual`` (including the order of
+its terms, which the summary prints), ``unital`` and ``unital_failure``.
+"""
+
+import random
+
+import pytest
+
+from oracles import exhaustive_stasheff
+from thd.ainfty import (
+    AInfinityStructure,
+    Budget,
+    CentralBimodule,
+    Cochain,
+    PrimeField,
+    QQ,
+    build_example,
+    cocycle_space,
+    deform,
+    example_names,
+    from_linear_category,
+    hochschild_differential,
+    random_cochain,
+    tensor_with_algebra,
+    verify_stasheff,
+)
+from thd.ainfty.examples import dual_numbers, matrix_algebra, product_algebra_unit_basis
+from thd.ainfty.structure import _check_unitality
+from thd.errors import BudgetExceeded
+
+FIELDS = {"Q": QQ, "F32003": PrimeField(32003), "F7": PrimeField(7)}
+
+
+def outcome(report):
+    residual = None if report.residual is None else list(report.residual.items())
+    return (report.passed, report.ks_evaluated, report.first_failure, residual,
+            report.unital, report.unital_failure)
+
+
+def assert_agrees(A, k_max):
+    report = verify_stasheff(A, k_max)
+    assert outcome(report) == outcome(exhaustive_stasheff(A, k_max))
+    return report
+
+
+def bundled_structures(field, with_matrices):
+    """Every bundled example as a structure: categories through
+    ``from_linear_category``, optionally tensored with ``M_2`` first."""
+    for name in example_names():
+        entry = build_example(name, field, seed=0)
+        if entry["kind"] == "structure":
+            A = entry["structure"]
+            yield tensor_with_algebra(A, matrix_algebra(field, 2)) if with_matrices else A
+        else:
+            cat = entry["category"]
+            if with_matrices:
+                cat = tensor_with_algebra(cat, matrix_algebra(field, 2))
+            yield from_linear_category(cat)
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_bundled_examples_agree_with_the_oracle(field):
+    outcomes = {assert_agrees(A, 7).passed for A in bundled_structures(field, False)}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_bundled_examples_tensor_matrices_agree_with_the_oracle(field):
+    # k_max 4 keeps the oracle to 16^4 tuples per chain; the plain test
+    # above covers k = 5
+    for A in bundled_structures(field, True):
+        assert_agrees(A, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_random_examples_agree_with_the_oracle(seed):
+    for name in ("random-cocycle", "random-noncocycle"):
+        assert_agrees(build_example(name, FIELDS["F32003"], seed=seed)["structure"], 7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_deformations_of_dual_numbers_times_k2(seed):
+    F = FIELDS["F32003"]
+    cat = tensor_with_algebra(dual_numbers(F), product_algebra_unit_basis(F))
+    mod = CentralBimodule.regular(cat)
+    rng = random.Random(seed)
+    eta = Cochain(cat, mod, 3, {})
+    for vec in cocycle_space(cat, mod, 3):
+        eta = eta + vec.scaled(F.of(rng.randrange(F.p)))
+    assert assert_agrees(deform(cat, mod, eta), 5).passed
+    while True:
+        noncocycle = random_cochain(cat, mod, 3, rng)
+        if not hochschild_differential(noncocycle).is_zero():
+            break
+    report = assert_agrees(deform(cat, mod, noncocycle, check=False), 5)
+    assert not report.passed and report.first_failure[0] == 4
+
+
+def test_leibniz_violating_differential():
+    A = from_linear_category(dual_numbers())
+    A.ops[1] = {(("*", "*"), (1,)): {0: QQ.one}}  # m_1(x) = 1 is not a derivation
+    report = assert_agrees(A, 5)
+    assert report.first_failure[0] == 2
+
+
+def test_koszul_signs_on_a_dg_algebra():
+    # The graded-commutative algebra on u (degree -1) and v (degree 0) with
+    # u^2 = v^2 = 0 and d u = v.  The Leibniz rule holds only with the sign
+    # (-1)^{|u|} on m_2(u, m_1(u)), so a Koszul sign error fails at k = 2.
+    one = QQ.one
+    degrees = (0, -1, 0, -1)  # 1, u, v, uv
+    products = {(0, i): i for i in range(4)}
+    products.update({(i, 0): i for i in range(1, 4)})
+    products.update({(1, 2): 3, (2, 1): 3})
+    m2 = {(("*",) * 3, args): {out: one} for args, out in products.items()}
+    m1 = {(("*", "*"), (1,)): {2: one}}
+    A = AInfinityStructure(QQ, ("*",), {("*", "*"): degrees}, {1: m1, 2: m2}, {"*": {0: one}})
+    report = assert_agrees(A, 4)
+    assert report.passed and report.unital and report.ks_evaluated == (1, 2, 3)
+
+
+def test_first_failure_is_the_minimal_key_in_enumeration_order():
+    # Two objects listed as ("b", "a"), each with a two-dimensional
+    # non-associative endomorphism product.  The m_2 table lists the "a"
+    # entries first and each object's arguments in descending order, so
+    # neither insertion order nor sorting the object names finds the
+    # failure the enumeration meets first.
+    rng = random.Random(3)
+    basis = {("a", "a"): (0, 0), ("b", "b"): (0, 0)}
+    m2 = {}
+    for obj in ("a", "b"):
+        for x1 in (1, 0):
+            for x2 in (1, 0):
+                m2[((obj,) * 3, (x1, x2))] = {0: QQ.of(rng.randint(1, 9)),
+                                             1: QQ.of(rng.randint(1, 9))}
+    A = AInfinityStructure(QQ, ("b", "a"), basis, {2: m2}, {})
+    report = assert_agrees(A, 4)
+    assert report.first_failure == (3, ("b",) * 4, (0, 0, 0))
+    swapped = AInfinityStructure(QQ, ("a", "b"), basis, {2: m2}, {})
+    assert assert_agrees(swapped, 4).first_failure == (3, ("a",) * 4, (0, 0, 0))
+
+
+def test_keys_outside_the_basis_are_never_evaluated():
+    # Table keys that name an unknown object, an argument past the basis or
+    # the wrong arity cannot occur in any identity, so they change nothing.
+    A = from_linear_category(dual_numbers())
+    stray = {(("*", "?", "*"), (0, 0)): {1: QQ.one}, (("*",) * 3, (0, 2)): {1: QQ.one},
+             (("*",) * 3, (0,)): {1: QQ.one}}
+    A.ops[2].update(stray)
+    report = assert_agrees(A, 5)
+    assert report.passed and report.unital
+
+
+def test_budget_guards_the_joins():
+    F = FIELDS["F32003"]
+    base = build_example("random-cocycle", F, seed=1)["structure"]
+    tensored = tensor_with_algebra(base, matrix_algebra(F, 2))
+    assert verify_stasheff(tensored, 7).evaluations == 768
+    with pytest.raises(BudgetExceeded):
+        verify_stasheff(tensored, 7, Budget(100))
+
+
+def test_budget_spent_is_joins_plus_unitality_charges():
+    A = build_example("dual-deformed")["structure"]
+    budget = Budget()
+    report = verify_stasheff(A, 7, budget)
+    assert report.passed and report.unital
+    unitality = Budget()
+    assert _check_unitality(A, unitality) == (True, None)
+    assert budget.spent == report.evaluations + unitality.spent
+    assert unitality.spent > 0
