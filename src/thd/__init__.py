@@ -1,7 +1,7 @@
 """Exact twisted Hodge diamonds, Hochschild dimensions and pushforward kernels
 for smooth projective hypersurfaces, with an A-infinity deformation engine."""
 
-from .combinatorics import alt_binom_sum, binom
+from .combinatorics import binom
 from .errors import BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation
 from .hochschild import (
     ExactSequenceLedger,
@@ -9,7 +9,6 @@ from .hochschild import (
     candidate_search,
     guaranteed_kernel_check,
     hh_dim_on_X,
-    hh_dim_on_X_closed_form,
     hh_dim_pushforward,
     hochschild_profile,
     kernel_claims_report,
@@ -40,14 +39,12 @@ __all__ = [
     "NotACocycle",
     "PreconditionViolation",
     "TwistedHodgeDiamond",
-    "alt_binom_sum",
     "binom",
     "candidate_search",
     "diamond",
     "euler_characteristic",
     "guaranteed_kernel_check",
     "hh_dim_on_X",
-    "hh_dim_on_X_closed_form",
     "hh_dim_pushforward",
     "hochschild_profile",
     "hodge_number",

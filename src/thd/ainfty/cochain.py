@@ -10,9 +10,13 @@ The differential is
                          + sum_i (-1)^i f(.. x_i x_{i+1} ..)
                          + (-1)^{n+1} f(x_1 .. x_n) . x_{n+1}
 
-with coefficients in degree 0, so no extra signs appear.  It is assembled
-sparsely: for each stored component we enumerate its one-arrow extensions
-and the pairs of arrows whose product hits a stored argument.
+with coefficients in degree 0, so no extra signs appear.  One routine,
+:func:`differential_terms`, emits the terms of ``d`` on one basis key
+``(chain, args, m)`` straight from the structure tensors: a prefix term for
+each entry of the left action on ``e_m``, a merge term for each pair of
+arrows whose product hits an argument, and a suffix term for each entry of
+the right action.  The matrix of ``d`` puts these terms into sparse columns,
+and :func:`hochschild_differential` is their linear extension.
 
 Cochains vanishing on identity arguments form a subcomplex; cochain spaces
 are enumerated in that normalized model whenever every identity is a basis
@@ -41,7 +45,7 @@ from .category import (
     vadd,
     vclean,
 )
-from .linalg import exact_rank, nullspace
+from .linalg import exact_rank, multilinear, nullspace
 
 
 class Cochain:
@@ -77,17 +81,7 @@ class Cochain:
 
     def evaluate(self, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
         """Multilinear evaluation on arrow vectors (not just basis arrows)."""
-        out: Vec = {}
-        def rec(prefix: Tuple[int, ...], scale, k: int):
-            if not scale:
-                return
-            if k == len(arg_vecs):
-                vadd(out, self.component(chain, prefix), scale)
-                return
-            for idx, c in arg_vecs[k].items():
-                rec(prefix + (idx,), scale * c, k + 1)
-        rec((), self.cat.field.one, 0)
-        return out
+        return multilinear(self.data, chain, arg_vecs, self.cat.field.one)
 
     def is_zero(self) -> bool:
         return not any(self.data.values())
@@ -131,55 +125,63 @@ class Cochain:
         )
 
 
-def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
-    """The bar differential ``df`` of a sparse cochain."""
-    cat, mod, n = f.cat, f.mod, f.degree
-    budget = budget or Budget()
-    out: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
+def differential_terms(cat: FiniteLinearCategory, mod: CentralBimodule, chain: Tuple,
+                       args: Tuple[int, ...], m: int, budget: Budget):
+    """The terms of ``d`` on the basis cochain with value ``e_m`` at ``(chain, args)``.
 
-    def add(chain, args, vec: Vec, scale) -> None:
-        if not vec:
-            return
-        budget.charge()
-        target = out.setdefault((chain, args), {})
-        vadd(target, vec, scale)
-
-    one = cat.field.one
-    minus = -one
-    if n == 0:
-        for (chain0, _), vec in f.data.items():
-            (b,) = chain0
-            for a in cat.objects:
-                for x in range(cat.dim(a, b)):
-                    add((a, b), (x,), mod.lact_vec(a, b, b, basis_vec(x, cat.field), vec), one)
-            for c in cat.objects:
-                for x in range(cat.dim(b, c)):
-                    add((b, c), (x,), mod.ract_vec(b, b, c, vec, basis_vec(x, cat.field)), minus)
-        return Cochain(cat, mod, 1, out)
-
-    splits = cat.splits()
-    for (chain, args), vec in f.data.items():
-        x0, xn = chain[0], chain[-1]
-        # prefix extension: x . f(...)
-        for a in cat.objects:
+    Yields ``(chain', args', m', c)``: prefix terms ``x . e_m`` from
+    ``mod.left``, merge terms ``(-1)^{i+1} coeff e_m`` from ``cat.splits()``,
+    suffix terms ``(-1)^{n+1} e_m . x`` from ``mod.right``.  A key can occur
+    more than once; its terms are to be summed.  Charges ``budget`` one unit
+    per nonzero term (a table entry or a split).
+    """
+    n = len(args)
+    x0, xn = chain[0], chain[-1]
+    for a in cat.objects:
+        table = mod.left.get((a, x0, xn))
+        if table:
             for x in range(cat.dim(a, x0)):
-                add((a,) + chain, (x,) + args,
-                    mod.lact_vec(a, x0, xn, basis_vec(x, cat.field), vec), one)
-        # merges: f(.., x_i x_{i+1}, ..) expanded over products hitting args[i]
-        for i in range(n):
-            a, c = chain[i], chain[i + 1]
-            for (b, u, v, coeff) in splits.get((a, c), {}).get(args[i], ()):
-                new_chain = chain[: i + 1] + (b,) + chain[i + 1 :]
-                new_args = args[:i] + (u, v) + args[i + 1 :]
-                sign = one if (i + 1) % 2 == 0 else minus
-                add(new_chain, new_args, vec, sign * coeff)
-        # suffix extension: f(...) . x
-        s_sign = one if (n + 1) % 2 == 0 else minus
-        for c in cat.objects:
+                vec = table.get((x, m))
+                if vec:
+                    budget.charge()
+                    dchain, dargs = (a,) + chain, (x,) + args
+                    for mm, c in vec.items():
+                        yield dchain, dargs, mm, c
+    splits = cat.splits()
+    for i in range(n):
+        for b, u, v, coeff in splits.get((chain[i], chain[i + 1]), {}).get(args[i], ()):
+            budget.charge()
+            yield (chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :],
+                   m, coeff if i % 2 else -coeff)
+    negate = n % 2 == 0
+    for c in cat.objects:
+        table = mod.right.get((x0, xn, c))
+        if table:
             for x in range(cat.dim(xn, c)):
-                add(chain + (c,), args + (x,),
-                    mod.ract_vec(x0, xn, c, vec, basis_vec(x, cat.field)), s_sign)
-    return Cochain(cat, mod, n + 1, out)
+                vec = table.get((m, x))
+                if vec:
+                    budget.charge()
+                    dchain, dargs = chain + (c,), args + (x,)
+                    for mm, t in vec.items():
+                        yield dchain, dargs, mm, -t if negate else t
+
+
+def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
+    """The bar differential ``df``, the linear extension of :func:`differential_terms`.
+
+    Charges the budget for every basis entry ``(chain, args, m)`` of ``f``
+    in turn, so a component with several bimodule entries is charged for
+    each of them.
+    """
+    budget = budget or Budget()
+    zero = f.cat.field.zero
+    out: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
+    for (chain, args), vec in f.data.items():
+        for m, c in vec.items():
+            for dchain, dargs, mm, t in differential_terms(f.cat, f.mod, chain, args, m, budget):
+                target = out.setdefault((dchain, dargs), {})
+                target[mm] = target.get(mm, zero) + c * t
+    return Cochain(f.cat, f.mod, f.degree + 1, out)
 
 
 def _composable_chains(cat: FiniteLinearCategory, length: int):
@@ -247,23 +249,30 @@ def cochain_basis(
 
 
 def _differential_columns(cat, mod, source, target, normalized: bool, budget) -> List[Vec]:
-    """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys."""
-    index = {key: pos for pos, key in enumerate(target)}
+    """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
+
+    Terms on keys outside ``target`` are summed apart.  In the normalized
+    model they cancel, since the subcomplex is closed under ``d``; a
+    nonzero sum means corrupted structure tensors.
+    """
+    # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
+    blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
+              for pos, (chain, args, m) in enumerate(target) if m == 0}
     columns: List[Vec] = []
     for chain, args, m in source:
-        f = Cochain(cat, mod, len(args), {(chain, args): {m: cat.field.one}})
-        col: Vec = {}
-        for (dchain, dargs), vec in hochschild_differential(f, budget).data.items():
-            for mm, c in vec.items():
-                pos = index.get((dchain, dargs, mm))
-                if pos is None:
-                    if normalized:
-                        # the normalized subcomplex is closed under d;
-                        # a leak means corrupted structure tensors
-                        raise PreconditionViolation("differential left the normalized subcomplex")
-                    continue
-                col[pos] = c
-        columns.append(col)
+        col: Dict = {}
+        stray: Dict = {}
+        for dchain, dargs, mm, c in differential_terms(cat, mod, chain, args, m, budget):
+            block = blocks.get((dchain, dargs))
+            if block is not None and mm < block[1]:
+                row, acc = block[0] + mm, col
+            else:
+                row, acc = (dchain, dargs, mm), stray
+            val = acc.get(row)
+            acc[row] = c if val is None else val + c
+        if normalized and any(stray.values()):
+            raise PreconditionViolation("differential left the normalized subcomplex")
+        columns.append({row: c for row, c in col.items() if c})
     return columns
 
 

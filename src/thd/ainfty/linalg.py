@@ -9,6 +9,7 @@ Rank, a nullspace basis and a particular solution all come out of it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence
 
 Vec = Dict[int, object]
@@ -23,6 +24,18 @@ def vadd(target: Vec, vec: Vec, scale) -> None:
             target[k] = val
         elif k in target:
             del target[k]
+
+
+def multilinear(table: Dict, chain, arg_vecs: Sequence[Vec], one) -> Vec:
+    """Evaluate the sparse multilinear map ``args -> table[(chain, args)]`` on vectors."""
+    out: Vec = {}
+    for picks in itertools.product(*(vec.items() for vec in arg_vecs)):
+        scale = one
+        for _, c in picks:
+            scale = scale * c
+        if scale:
+            vadd(out, table.get((chain, tuple(i for i, _ in picks)), {}), scale)
+    return out
 
 
 class Echelon:

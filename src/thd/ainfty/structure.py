@@ -41,6 +41,7 @@ from .category import (
     vclean,
 )
 from .cochain import Cochain, hochschild_differential
+from .linalg import multilinear
 
 OpsTable = Dict[int, Dict[Tuple[Tuple, Tuple[int, ...]], Vec]]
 
@@ -73,17 +74,7 @@ class AInfinityStructure:
         return self.ops.get(s, {}).get((chain, args), {})
 
     def apply_vecs(self, s: int, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
-        out: Vec = {}
-        def rec(prefix, scale, k):
-            if not scale:
-                return
-            if k == len(arg_vecs):
-                vadd(out, self.apply(s, chain, prefix), scale)
-                return
-            for idx, c in arg_vecs[k].items():
-                rec(prefix + (idx,), scale * c, k + 1)
-        rec((), self.field.one, 0)
-        return out
+        return multilinear(self.ops.get(s, {}), chain, arg_vecs, self.field.one)
 
     def project(self, a, b, vec: Vec) -> Vec:
         """Apply the canonical projection onto the linear part, if present."""

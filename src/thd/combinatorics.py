@@ -9,9 +9,6 @@ nonzero values on the middle lines of twisted Hodge diamonds.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Tuple
-
-Term = Tuple[int, Tuple[int, int], Tuple[int, int]]
 
 
 def binom(a: int, b: int) -> int:
@@ -19,16 +16,3 @@ def binom(a: int, b: int) -> int:
     if 0 <= b <= a:
         return math.comb(a, b)
     return 0
-
-
-def alt_binom_sum(terms: Iterable[Term]) -> int:
-    """Evaluate sum of sign * binom(*outer) * binom(*inner) exactly.
-
-    ``terms`` is a finite iterable of ``(sign, (a, b), (c, e))`` triples with
-    ``sign`` in {+1, -1}.  The result is a signed integer; callers assert
-    nonnegativity where it is guaranteed.
-    """
-    total = 0
-    for sign, outer, inner in terms:
-        total += sign * binom(*outer) * binom(*inner)
-    return total

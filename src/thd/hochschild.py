@@ -51,32 +51,6 @@ def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
     return _hh_on_X(X.n, X.d, p, m)
 
 
-def hh_dim_on_X_closed_form(X: Hypersurface, p: int, m: int) -> int:
-    """``dim HH^m(X, O_X(p))`` by the support-loci case formula.
-
-    Must agree with :func:`hh_dim_on_X` everywhere; the pair is kept as a
-    two-route consistency check.
-    """
-    n, t = X.n, X.t
-    tp = t - p
-    h = lambda i, j: hodge_number(X, tp, i, j)
-    if m == 0:
-        return h(0, n)
-    if m == 2 * n:
-        return h(n, 0)
-    if 0 < m < 2 * n:
-        total = h(m - n, 0) + h(m, n)
-        if m % 2 == 0:
-            total += h(m // 2, n - m // 2)
-            if p == t and m == n:
-                total += n - 2
-        else:
-            if p == t and m == n:
-                total += n - 1
-        return total
-    return 0
-
-
 def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
     """``dim H^j(X, f^* Omega^i_{P^{n+1}}(p))``.
 

@@ -19,9 +19,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from thd.ainfty import Budget, StasheffReport
+from thd import PreconditionViolation, hodge_number
+from thd.ainfty import Budget, Cochain, StasheffReport
+from thd.ainfty.category import basis_vec
 from thd.ainfty.linalg import vadd
 from thd.ainfty.structure import _check_unitality
+from thd.combinatorics import binom
 
 PRIME = 1_000_003
 
@@ -282,3 +285,118 @@ def exhaustive_stasheff(A, k_max, budget=None):
                     )
     ok, msg = _check_unitality(A, budget)
     return StasheffReport(True, k_max, evaluations, tuple(ks_evaluated), unital=ok, unital_failure=msg)
+
+
+# The Hochschild differential as the library assembled it before it emitted
+# each basis key's terms straight from the structure tensors: the whole
+# sparse differential of a cochain, built component by component, and the
+# matrix of d built by running it on one one-term cochain per basis key and
+# looking every output up under its (chain, args, m) key.
+
+
+def per_key_hochschild_differential(f, budget=None):
+    """``df`` charging one unit per nonzero output vector of each term."""
+    cat, mod, n = f.cat, f.mod, f.degree
+    budget = budget or Budget()
+    out = {}
+
+    def add(chain, args, vec, scale):
+        if not vec:
+            return
+        budget.charge()
+        vadd(out.setdefault((chain, args), {}), vec, scale)
+
+    one = cat.field.one
+    minus = -one
+    if n == 0:
+        for (chain0, _), vec in f.data.items():
+            (b,) = chain0
+            for a in cat.objects:
+                for x in range(cat.dim(a, b)):
+                    add((a, b), (x,), mod.lact_vec(a, b, b, basis_vec(x, cat.field), vec), one)
+            for c in cat.objects:
+                for x in range(cat.dim(b, c)):
+                    add((b, c), (x,), mod.ract_vec(b, b, c, vec, basis_vec(x, cat.field)), minus)
+        return Cochain(cat, mod, 1, out)
+
+    splits = cat.splits()
+    for (chain, args), vec in f.data.items():
+        x0, xn = chain[0], chain[-1]
+        for a in cat.objects:
+            for x in range(cat.dim(a, x0)):
+                add((a,) + chain, (x,) + args,
+                    mod.lact_vec(a, x0, xn, basis_vec(x, cat.field), vec), one)
+        for i in range(n):
+            a, c = chain[i], chain[i + 1]
+            for (b, u, v, coeff) in splits.get((a, c), {}).get(args[i], ()):
+                new_chain = chain[: i + 1] + (b,) + chain[i + 1 :]
+                new_args = args[:i] + (u, v) + args[i + 1 :]
+                sign = one if (i + 1) % 2 == 0 else minus
+                add(new_chain, new_args, vec, sign * coeff)
+        s_sign = one if (n + 1) % 2 == 0 else minus
+        for c in cat.objects:
+            for x in range(cat.dim(xn, c)):
+                add(chain + (c,), args + (x,),
+                    mod.ract_vec(x0, xn, c, vec, basis_vec(x, cat.field)), s_sign)
+    return Cochain(cat, mod, n + 1, out)
+
+
+def per_key_differential_columns(cat, mod, source, target, normalized, budget):
+    """Sparse columns of ``d`` with one ``per_key_hochschild_differential`` per key."""
+    index = {key: pos for pos, key in enumerate(target)}
+    columns = []
+    for chain, args, m in source:
+        f = Cochain(cat, mod, len(args), {(chain, args): {m: cat.field.one}})
+        col = {}
+        for (dchain, dargs), vec in per_key_hochschild_differential(f, budget).data.items():
+            for mm, c in vec.items():
+                pos = index.get((dchain, dargs, mm))
+                if pos is None:
+                    if normalized:
+                        raise PreconditionViolation("differential left the normalized subcomplex")
+                    continue
+                col[pos] = c
+        columns.append(col)
+    return columns
+
+
+# Second routes on the hypersurface side, kept as oracles for the closed
+# forms the library computes.
+
+
+def hh_dim_on_X_closed_form(X, p, m):
+    """``dim HH^m(X, O_X(p))`` by the support-loci case formula.
+
+    Must agree with ``hh_dim_on_X`` (the anti-diagonal sum) everywhere.
+    """
+    n, t = X.n, X.t
+    tp = t - p
+    h = lambda i, j: hodge_number(X, tp, i, j)
+    if m == 0:
+        return h(0, n)
+    if m == 2 * n:
+        return h(n, 0)
+    if 0 < m < 2 * n:
+        total = h(m - n, 0) + h(m, n)
+        if m % 2 == 0:
+            total += h(m // 2, n - m // 2)
+            if p == t and m == n:
+                total += n - 2
+        else:
+            if p == t and m == n:
+                total += n - 1
+        return total
+    return 0
+
+
+def alt_binom_sum(terms):
+    """Evaluate sum of sign * binom(*outer) * binom(*inner) exactly.
+
+    ``terms`` is a finite iterable of ``(sign, (a, b), (c, e))`` triples with
+    ``sign`` in {+1, -1}, the shape of the alternating sums behind the
+    middle lines of twisted Hodge diamonds.
+    """
+    total = 0
+    for sign, outer, inner in terms:
+        total += sign * binom(*outer) * binom(*inner)
+    return total

@@ -7,12 +7,12 @@ criterion with its runtime.
 import json
 import time
 
+from oracles import hh_dim_on_X_closed_form
 from thd import (
     Hypersurface,
     diamond,
     guaranteed_kernel_check,
     hh_dim_on_X,
-    hh_dim_on_X_closed_form,
     hh_dim_pushforward,
     hodge_number,
     kernel_claims_report,

@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from thd.combinatorics import alt_binom_sum, binom
+from oracles import alt_binom_sum
+from thd.combinatorics import binom
 
 
 def brute_binom(a: int, b: int) -> int:

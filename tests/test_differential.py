@@ -1,0 +1,155 @@
+"""The Hochschild differential built key by key against the per-key oracle.
+
+The oracle is the assembly the library used before it emitted each basis
+key's terms straight from the structure tensors: a one-term cochain per key,
+the whole sparse differential of it, and a lookup of every output under its
+``(chain, args, m)`` key.  Columns and ``Budget.spent`` must agree exactly.
+"""
+
+import random
+
+import pytest
+
+from oracles import per_key_differential_columns, per_key_hochschild_differential
+from thd import PreconditionViolation
+from thd.ainfty import (
+    QQ,
+    Budget,
+    CentralBimodule,
+    Cochain,
+    FiniteLinearCategory,
+    PrimeField,
+    build_example,
+    cochain_basis,
+    cocycle_space,
+    from_linear_category,
+    hh_dimensions,
+    hochschild_differential,
+    random_cochain,
+    tensor_with_algebra,
+)
+from thd.ainfty.cochain import _differential_columns, differential_terms
+from thd.ainfty.examples import dual_numbers, product_algebra_unit_basis
+
+FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
+FIELD_IDS = ["Q", "F32003", "F7"]
+
+# (name, highest source degree): the hh-bar workload takes HH of
+# dual-numbers-x-k2 to degree 4 and a2-x-k2 to degree 5 in the bar model;
+# the deform-pipeline category (dual numbers over k[u]/(u^2 - 1)) to
+# degree 4, with cocycles in degrees 3 and 4, in the normalized model.
+# In the basis (1, y = 1 + x) of k[x]/(x^2), y y = 2y - 1 has two entries,
+# which no bundled product has.
+CASES = [("k", 5), ("dual-numbers", 5), ("a2", 5), ("dual-numbers-x-k2", 4), ("a2-x-k2", 5),
+         ("pipeline", 4), ("dual-numbers-y", 4)]
+
+
+def _category(name, field):
+    if name == "pipeline":
+        cat = tensor_with_algebra(dual_numbers(field), product_algebra_unit_basis(field))
+        return cat, CentralBimodule.regular(cat)
+    if name == "dual-numbers-y":
+        one = field.one
+        compose = {("*", "*", "*"): {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one},
+                                     (1, 1): {0: -one, 1: field.of(2)}}}
+        cat = FiniteLinearCategory(field, ["*"], {("*", "*"): 2}, compose, {"*": {0: one}})
+        cat.validate()
+        return cat, CentralBimodule.regular(cat)
+    entry = build_example(name, field)
+    return entry["category"], entry["bimodule"]
+
+
+def _models(cat):
+    return [False, True] if cat.identities_basis_aligned() else [False]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name,top", CASES, ids=[name for name, _ in CASES])
+def test_columns_and_budget_match_the_per_key_oracle(name, top, field):
+    cat, mod = _category(name, field)
+    for normalized in _models(cat):
+        bases = [cochain_basis(cat, mod, k, normalized) for k in range(top + 2)]
+        for k in range(top + 1):
+            new, old = Budget(), Budget()
+            got = _differential_columns(cat, mod, bases[k], bases[k + 1], normalized, new)
+            want = per_key_differential_columns(cat, mod, bases[k], bases[k + 1], normalized, old)
+            assert got == want, (normalized, k)
+            assert new.spent == old.spent, (normalized, k)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("name", ["dual-numbers", "a2", "dual-numbers-x-k2", "pipeline",
+                                  "dual-numbers-y"])
+def test_differential_of_random_cochains_matches_the_oracle(name, field):
+    cat, mod = _category(name, field)
+    rng = random.Random(11)
+    for normalized in _models(cat):
+        for degree in range(4):
+            f = random_cochain(cat, mod, degree, rng, normalized)
+            budget = Budget()
+            assert hochschild_differential(f, budget) == per_key_hochschild_differential(f)
+            # one charge per nonzero term of every basis entry of f
+            per_entry = Budget()
+            for (chain, args), vec in f.data.items():
+                for m in vec:
+                    per_key_hochschild_differential(
+                        Cochain(cat, mod, degree, {(chain, args): {m: field.one}}), per_entry)
+            assert budget.spent == per_entry.spent
+
+
+def test_terms_leaving_the_normalized_subcomplex_cancel():
+    # On k[x]/(x^2), d of the cochain x -> e_m has a prefix term at (id, x)
+    # and a merge term at (id, x) of opposite sign, and likewise at (x, id):
+    # each term alone leaves the normalized subcomplex, their sums vanish.
+    cat = dual_numbers(QQ)
+    mod = CentralBimodule.regular(cat)
+    chain = ("*", "*")
+    identity = cat.id_basis_index("*")
+    for m in range(2):
+        sums = {}
+        for dchain, dargs, mm, c in differential_terms(cat, mod, chain, (1,), m, Budget()):
+            if identity in dargs:
+                sums[(dargs, mm)] = sums.get((dargs, mm), 0) + c
+        assert len(sums) == 2 and not any(sums.values())
+    source = cochain_basis(cat, mod, 1, True)
+    target = cochain_basis(cat, mod, 2, True)
+    _differential_columns(cat, mod, source, target, True, Budget())  # does not raise
+    assert hh_dimensions(cat, mod, 3, normalized=True) == hh_dimensions(cat, mod, 3, normalized=False)
+
+
+def test_a_corrupted_action_that_leaves_the_subcomplex_still_raises():
+    cat = dual_numbers(QQ)
+    mod = CentralBimodule.regular(cat)
+    # the identity now acts on x from the left as 2x: the prefix term at
+    # (id, x) no longer cancels against the merge term
+    mod.left[("*", "*", "*")][(0, 1)] = {1: QQ.of(2)}
+    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+        hh_dimensions(cat, mod, 2, normalized=True)
+    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+        cocycle_space(cat, mod, 1, normalized=True)
+
+
+def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():
+    cat = dual_numbers(QQ)
+    mod = CentralBimodule.regular(cat)
+    mod.left[("*", "*", "*")][(1, 1)] = {2: QQ.one}  # M(*, *) has dimension 2
+    source, target = cochain_basis(cat, mod, 1, False), cochain_basis(cat, mod, 2, False)
+    assert (_differential_columns(cat, mod, source, target, False, Budget())
+            == per_key_differential_columns(cat, mod, source, target, False, Budget()))
+    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+        hh_dimensions(cat, mod, 2, normalized=True)
+
+
+def test_cochains_and_structures_evaluate_multilinearly():
+    cat = dual_numbers(QQ)
+    mod = CentralBimodule.regular(cat)
+    f = random_cochain(cat, mod, 2, random.Random(5), normalized=False)
+    chain = ("*",) * 3
+    u, v = {0: QQ.of(2), 1: QQ.of(-3)}, {0: QQ.of(5), 1: QQ.of(7)}
+    want = {}
+    for i, ci in u.items():
+        for j, cj in v.items():
+            for m, c in f.component(chain, (i, j)).items():
+                want[m] = want.get(m, 0) + ci * cj * c
+    assert f.evaluate(chain, [u, v]) == {m: c for m, c in want.items() if c}
+    assert from_linear_category(cat).apply_vecs(2, chain, [u, v]) == cat.diag_vec(*chain, u, v)

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import hh_dim_on_X_closed_form
 from thd import (
     ExactnessViolation,
     Hypersurface,
@@ -7,7 +8,6 @@ from thd import (
     candidate_search,
     guaranteed_kernel_check,
     hh_dim_on_X,
-    hh_dim_on_X_closed_form,
     hh_dim_pushforward,
     hochschild_profile,
     hodge_number,
