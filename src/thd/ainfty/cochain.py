@@ -251,9 +251,10 @@ def cochain_basis(
 def _differential_columns(cat, mod, source, target, normalized: bool, budget) -> List[Vec]:
     """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
 
-    Terms on keys outside ``target`` are summed apart.  In the normalized
-    model they cancel, since the subcomplex is closed under ``d``; a
-    nonzero sum means corrupted structure tensors.
+    Terms on keys outside ``target`` are summed apart.  In the bar model
+    there are none, and in the normalized model they cancel, since the
+    subcomplex is closed under ``d``; a nonzero sum means corrupted structure
+    tensors.
     """
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
     blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
@@ -270,8 +271,9 @@ def _differential_columns(cat, mod, source, target, normalized: bool, budget) ->
                 row, acc = (dchain, dargs, mm), stray
             val = acc.get(row)
             acc[row] = c if val is None else val + c
-        if normalized and any(stray.values()):
-            raise PreconditionViolation("differential left the normalized subcomplex")
+        if any(stray.values()):
+            space = "normalized subcomplex" if normalized else "cochain space"
+            raise PreconditionViolation(f"differential left the {space}")
         columns.append({row: c for row, c in col.items() if c})
     return columns
 

@@ -2,14 +2,18 @@
 
 A matrix is a list of sparse columns ``{row: value}`` of field elements.  The
 Hochschild differentials handed in here hold a few nonzeros per column among
-thousands of rows, so one routine reduces the columns left to right and
-touches only the rows that hold a nonzero (in the spirit of Markowitz, 1957).
-Rank, a nullspace basis and a particular solution all come out of it.
+thousands of rows, so one routine, :class:`Echelon`, reduces the columns left
+to right and touches only the rows that hold a nonzero (in the spirit of
+Markowitz, 1957); rank, a nullspace basis and a particular solution all come
+out of it.  It reduces plain numbers, converted only at its boundary: ints in
+``[0, p)`` over F_p, and over Q an int wherever the value is integral and a
+``Fraction`` only otherwise.  Values leave as field elements (``field.of``).
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 Vec = Dict[int, object]
@@ -42,46 +46,71 @@ class Echelon:
     """Columns reduced left to right into an echelon form keyed by leading row.
 
     A pivot is stored with its leading entry scaled to one, together with the
-    combination of input columns that produces it; only pivot columns occur
-    in those.  A column that reduces to zero leaves its combination in
-    ``null``: the kernel vector with a one at that free column and zeros at
-    the others, the basis reduced row echelon form gives, in the same order.
+    combination of input columns that produces it (only pivot columns occur in
+    those); with ``combos`` false, as for the rank, none is built.  A column
+    that reduces to zero leaves its combination in ``null``: the kernel vector
+    with a one at that free column and zeros at the others, the basis reduced
+    row echelon form gives, in the same order.
     """
 
-    def __init__(self, columns: Sequence[Vec], field):
+    def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
+        self.field, self.p = field, getattr(field, "p", 0)
         self.pivots: Dict[int, tuple] = {}
         self.null: List[Vec] = []
         for j, col in enumerate(columns):
-            vec, combo = self.reduce(col, {j: field.one})
+            vec, combo = self.reduce(col, {j: 1} if combos else None)
             if vec:
                 lead = min(vec)
-                inv = 1 / vec[lead]
-                self.pivots[lead] = ({r: inv * c for r, c in vec.items()},
-                                     {k: inv * c for k, c in combo.items()})
-            else:
-                self.null.append(dict(sorted(combo.items())))
+                inv = pow(vec[lead], -1, self.p) if self.p else self._raw(Fraction(1, vec[lead]))
+                self.pivots[lead] = (self._axpy({}, vec, inv), combo and self._axpy({}, combo, inv))
+            elif combos:
+                self.null.append(self.export(combo, 1))
 
-    def reduce(self, col: Vec, combo: Vec):
+    def _raw(self, value):
+        value = self.field.of(value)
+        return value.value if self.p else value.numerator if value.denominator == 1 else value
+
+    def _axpy(self, target: Vec, vec: Vec, scale) -> Vec:
+        """target += scale * vec on raw values, dropping zeros; returns target."""
+        p, get = self.p, target.get
+        for k, c in vec.items():
+            val = get(k, 0) + c * scale
+            if p:
+                val %= p
+            elif type(val) is Fraction and val.denominator == 1:
+                val = val.numerator
+            if val:
+                target[k] = val
+            else:  # scale * c is never zero, so k was in target
+                del target[k]
+        return target
+
+    def export(self, vec: Vec, sign) -> Vec:
+        """``sign * vec`` as field elements, in order of index."""
+        return {k: self.field.of(sign * c) for k, c in sorted(vec.items())}
+
+    def reduce(self, col: Vec, combo: Optional[Vec]):
         """Subtract pivots from ``col`` until its leading row is no pivot's.
 
-        Returns the residue, which is zero exactly when ``col`` lies in the
-        span of the pivots, and ``combo`` minus the combinations subtracted.
+        Returns the raw residue, zero exactly when ``col`` is in the span of
+        the pivots, and ``combo`` (or None) less the combinations subtracted.
         """
-        vec = {r: c for r, c in col.items() if c}
+        vec = {r: v for r, v in ((r, self._raw(c)) for r, c in col.items()) if v}
         while vec:
             lead = min(vec)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 break
             factor = -vec[lead]
-            vadd(vec, pivot[0], factor)
-            vadd(combo, pivot[1], factor)
+            self._axpy(vec, pivot[0], factor)
+            if combo is not None:
+                self._axpy(combo, pivot[1], factor)
         return vec, combo
 
 
 def exact_rank(columns: Sequence[Vec], field) -> int:
-    """Rank of the matrix with the given sparse columns."""
-    return len(Echelon(columns, field).pivots)
+    """Rank of the matrix with the given sparse columns; builds no combinations."""
+    return len(Echelon(columns, field, combos=False).pivots)
 
 
 def nullspace(columns: Sequence[Vec], field) -> List[Vec]:
@@ -91,7 +120,6 @@ def nullspace(columns: Sequence[Vec], field) -> List[Vec]:
 
 def solve(columns: Sequence[Vec], rhs: Vec, field) -> Optional[Vec]:
     """One solution of ``A x = rhs`` with every free variable zero, or None."""
-    residue, combo = Echelon(columns, field).reduce(rhs, {})
-    if residue:
-        return None
-    return {k: -c for k, c in sorted(combo.items())}
+    echelon = Echelon(columns, field)
+    residue, combo = echelon.reduce(rhs, {})
+    return None if residue else echelon.export(combo, -1)

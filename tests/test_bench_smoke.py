@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["hh-bar", "deform-pipeline"])
+@pytest.mark.parametrize("workload", ["hh-bar", "deform-pipeline", "hypersurface-sweep"])
 def test_benchmark_workload_is_correct_and_nothing_fails(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",

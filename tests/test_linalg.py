@@ -8,8 +8,8 @@ import pytest
 
 from oracles import PRIME, dense_nullspace, dense_rank, dense_solve, rank_mod_p
 from thd.ainfty import QQ, PrimeField, build_example, example_names, field_by_name, hh_dimensions
-from thd.ainfty.fields import is_prime
-from thd.ainfty.linalg import exact_rank, nullspace, solve
+from thd.ainfty.fields import GFElement, is_prime
+from thd.ainfty.linalg import Echelon, exact_rank, nullspace, solve
 from thd.errors import PreconditionViolation
 
 FIELDS = (QQ, PrimeField(PRIME), PrimeField(7))
@@ -126,6 +126,99 @@ def test_echelon_on_empty_and_zero_matrices():
     assert solve([], {}, QQ) == {} and solve([], {0: QQ.one}, QQ) is None
     # explicit zeros in the input are ignored
     assert exact_rank([{0: QQ.zero, 3: Fraction(2)}], QQ) == 1
+
+
+# ------------------------------------------------- raw values, wider fields
+WIDE_FIELDS = (QQ, PrimeField(2), PrimeField(2 ** 61 - 1), PrimeField(PRIME), PrimeField(7))
+
+
+def wide_cases(seeds=range(200, 260)):
+    """Seeded (field, rows, ncols): integer matrices over every field in
+    ``WIDE_FIELDS``, and over Q also rational ones whose pivots are not one."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        field = WIDE_FIELDS[seed % len(WIDE_FIELDS)]
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        if field == QQ and seed % 3:
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.5
+                     else QQ.zero for _ in range(ncols)] for _ in range(nrows)]
+            if ncols > 2:  # a column that depends on earlier ones, with rational weights
+                a, b = Fraction(rng.randint(1, 7), 3), Fraction(-5, rng.randint(2, 4))
+                for row in rows:
+                    row[ncols - 1] = a * row[0] + b * row[1]
+        else:
+            ints = known_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+            rows = as_field(field, ints)
+        yield field, rows, ncols
+
+
+def element_type(field):
+    return Fraction if field == QQ else GFElement
+
+
+def assert_raw(field, echelon):
+    """Raw values are ints in [0, p) over F_p; over Q a Fraction only when not integral."""
+    for vec, combo in echelon.pivots.values():
+        for value in list(vec.values()) + list((combo or {}).values()):
+            if field == QQ:
+                assert type(value) is int or (type(value) is Fraction and value.denominator > 1)
+            else:
+                assert type(value) is int and 0 < value < field.p
+
+
+@pytest.mark.parametrize("field,rows,ncols", list(wide_cases()))
+def test_raw_elimination_matches_dense_oracles_on_wider_fields(field, rows, ncols):
+    columns = columns_of(rows, ncols)
+    before = [dict(col) for col in columns]
+    rng = random.Random(ncols * 131 + len(rows))
+    x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
+    image = {i: v for i, v in enumerate(sum((r[j] * x0[j] for j in range(ncols)), field.zero)
+                                        for r in rows) if v}
+    other = {i: field.of(rng.randint(-2, 2)) for i in range(len(rows))}
+    rhs_before = (dict(image), dict(other))
+
+    echelon = Echelon(columns, field)
+    assert_raw(field, echelon)
+    rank = exact_rank(columns, field)
+    assert rank == len(echelon.pivots) == dense_rank(rows)
+    basis = nullspace(columns, field)
+    assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
+    assert len(basis) == ncols - rank
+    for rhs in (image, other):
+        got = solve(columns, rhs, field)
+        want = dense_solve(rows, [rhs.get(i, field.zero) for i in range(len(rows))], ncols, field)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dense_vec(got, ncols, field) == want
+            basis.append(got)
+    assert solve(columns, image, field) is not None
+    # no bare int leaves linalg, and the caller's columns and rhs are untouched
+    assert all(type(c) is element_type(field) for vec in basis for c in vec.values())
+    assert columns == before and (image, other) == rhs_before
+
+
+def test_rational_pivots_mix_ints_and_fractions():
+    cols = [{0: QQ.of(2), 1: QQ.of(3)}, {0: QQ.of(4), 1: QQ.of(1)}, {0: QQ.of("1/2"), 1: QQ.of(5)}]
+    echelon = Echelon(cols, QQ)
+    assert_raw(QQ, echelon)
+    raw = [v for vec, combo in echelon.pivots.values() for v in (*vec.values(), *combo.values())]
+    assert {type(v) for v in raw} == {int, Fraction}
+    (kernel,) = nullspace(cols, QQ)
+    assert kernel == {0: Fraction(-39, 20), 1: Fraction(17, 20), 2: QQ.one}
+    assert all(type(c) is Fraction for c in kernel.values())
+    # a Fraction whose denominator becomes one is an int again: 3/2 * 2 = 3
+    assert Echelon([{0: QQ.of(2), 1: QQ.of(3)}, {1: QQ.of(3)}], QQ).pivots[1][0] == {1: 1}
+
+
+def test_rank_builds_no_combinations_and_reads_plain_ints():
+    F = PrimeField(7)
+    cols = [{0: F.of(3), 2: F.one}, {0: F.of(6), 2: F.of(2)}, {1: F.of(5)}]
+    assert all(combo is None for _, combo in Echelon(cols, F, combos=False).pivots.values())
+    assert exact_rank(cols, F) == len(Echelon(cols, F).pivots) == 2
+    # ints are read as field elements: 7 is zero in F_7, 1/2 is 4
+    assert exact_rank([{0: 7, 1: 0}], F) == 0
+    assert solve([{0: 2}], {0: 1}, F) == {0: F.of(4)}
+    assert solve([{0: 2}], {0: 1}, QQ) == {0: Fraction(1, 2)}
 
 
 # ------------------------------------------------------------------- fields
