@@ -28,7 +28,8 @@ def resolve_budget(explicit=None) -> int:
 
 
 class Budget:
-    """A consumable counter of evaluations (cochain keys, Stasheff joins)."""
+    """A consumable counter of evaluations (cochain keys, differential terms, Stasheff
+    joins); a key's terms are charged at once, so ``spent`` can pass ``limit`` by more than one."""
 
     def __init__(self, limit=None):
         self.limit = resolve_budget(limit)

@@ -222,13 +222,7 @@ class CentralBimodule:
         self.dims: Dict[Tuple, int] = {k: v for k, v in dims.items() if v}
         # left:  (a,b,c) -> {(x in hom(a,b), m in M(b,c)): Vec in M(a,c)}
         # right: (a,b,c) -> {(m in M(a,b), x in hom(b,c)): Vec in M(a,c)}
-        # An entry is stored only if it is nonzero: the differential charges
-        # the budget once per stored entry it uses.
-        self.left, self.right = (
-            {key: {pair: vec for pair, vec in table.items() if any(vec.values())}
-             for key, table in tables.items()}
-            for tables in (left, right)
-        )
+        self.left, self.right = left, right
 
     def dim(self, a, b) -> int:
         return self.dims.get((a, b), 0)

@@ -10,13 +10,13 @@ The differential is
                          + sum_i (-1)^i f(.. x_i x_{i+1} ..)
                          + (-1)^{n+1} f(x_1 .. x_n) . x_{n+1}
 
-with coefficients in degree 0, so no extra signs appear.  One routine,
-:func:`differential_terms`, emits the terms of ``d`` on one basis key
-``(chain, args, m)`` straight from the structure tensors: a prefix term for
-each entry of the left action on ``e_m``, a merge term for each pair of
-arrows whose product hits an argument, and a suffix term for each entry of
-the right action.  The matrix of ``d`` puts these terms into sparse columns,
-and :func:`hochschild_differential` is their linear extension.
+with coefficients in degree 0, so no extra signs appear.  Each call compiles
+the structure tensors into tables of raw numbers (:func:`differential_tables`),
+from which :func:`differential_terms` emits the terms of ``d`` on one basis
+key ``(chain, args, m)``: a prefix term per entry of the left action on
+``e_m``, a merge term per pair of arrows whose product hits an argument, a
+suffix term per entry of the right action.  The matrix of ``d`` sums them into
+raw sparse columns, and :func:`hochschild_differential` is their linear extension.
 
 Cochains vanishing on identity arguments form a subcomplex; cochain spaces
 are enumerated in that normalized model whenever every identity is a basis
@@ -45,7 +45,7 @@ from .category import (
     vadd,
     vclean,
 )
-from .linalg import exact_rank, multilinear, nullspace
+from .linalg import exact_rank, multilinear, nullspace, raw
 
 
 class Cochain:
@@ -125,45 +125,58 @@ class Cochain:
         )
 
 
-def differential_terms(cat: FiniteLinearCategory, mod: CentralBimodule, chain: Tuple,
-                       args: Tuple[int, ...], m: int, budget: Budget):
+def differential_tables(cat: FiniteLinearCategory, mod: CentralBimodule):
+    """The structure tensors as raw numbers (:func:`~.linalg.raw`), indexed per basis key.
+
+    ``left[(x0, xn, m)]`` lists ``(a, x, [(m', c), ..])`` for each nonzero ``x . e_m``,
+    ``right[(x0, xn, m)]`` lists ``(c, x, [(m', c), ..])`` for each nonzero ``e_m . x``,
+    ``splits[(a, c, k)]`` is ``cat.splits()[(a, c)][k]``.  Not cached: tensors can change.
+    """
+    def raws(vec):
+        return [(k, raw(cat.field, c)) for k, c in vec.items()]
+    left: Dict = {}
+    right: Dict = {}
+    for (a, x0, xn), table in mod.left.items():
+        for (x, m), vec in table.items():
+            if x < cat.dim(a, x0) and any(vec.values()):
+                left.setdefault((x0, xn, m), []).append((a, x, raws(vec)))
+    for (x0, xn, c), table in mod.right.items():
+        for (m, x), vec in table.items():
+            if x < cat.dim(xn, c) and any(vec.values()):
+                right.setdefault((x0, xn, m), []).append((c, x, raws(vec)))
+    splits = {(a, c, k): [(b, u, v, raw(cat.field, coeff)) for b, u, v, coeff in pairs]
+              for (a, c), by_k in cat.splits().items() for k, pairs in by_k.items()}
+    return left, splits, right
+
+
+def differential_terms(tables, chain: Tuple, args: Tuple[int, ...], m: int, budget: Budget):
     """The terms of ``d`` on the basis cochain with value ``e_m`` at ``(chain, args)``.
 
-    Yields ``(chain', args', m', c)``: prefix terms ``x . e_m`` from
-    ``mod.left``, merge terms ``(-1)^{i+1} coeff e_m`` from ``cat.splits()``,
-    suffix terms ``(-1)^{n+1} e_m . x`` from ``mod.right``.  A key can occur
-    more than once; its terms are to be summed.  Charges ``budget`` one unit
-    per nonzero term (a table entry or a split).
+    Yields ``(chain', args', m', c)`` with ``c`` raw, read from the
+    :func:`differential_tables`: prefix terms ``x . e_m`` from the left
+    action, merge terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix terms
+    ``(-1)^{n+1} e_m . x`` from the right action.  A key can occur more than
+    once; its terms are to be summed.  Charges ``budget`` once, one unit per
+    nonzero term (an action entry or a split).
     """
+    left, splits, right = tables
     n = len(args)
-    x0, xn = chain[0], chain[-1]
-    for a in cat.objects:
-        table = mod.left.get((a, x0, xn))
-        if table:
-            for x in range(cat.dim(a, x0)):
-                vec = table.get((x, m))
-                if vec:
-                    budget.charge()
-                    dchain, dargs = (a,) + chain, (x,) + args
-                    for mm, c in vec.items():
-                        yield dchain, dargs, mm, c
-    splits = cat.splits()
-    for i in range(n):
-        for b, u, v, coeff in splits.get((chain[i], chain[i + 1]), {}).get(args[i], ()):
-            budget.charge()
+    prefix, suffix = left.get((chain[0], chain[-1], m), ()), right.get((chain[0], chain[-1], m), ())
+    merges = [splits.get((chain[i], chain[i + 1], args[i]), ()) for i in range(n)]
+    budget.charge(len(prefix) + len(suffix) + sum(map(len, merges)))
+    for a, x, vec in prefix:
+        dchain, dargs = (a,) + chain, (x,) + args
+        for mm, c in vec:
+            yield dchain, dargs, mm, c
+    for i, pairs in enumerate(merges):
+        for b, u, v, coeff in pairs:
             yield (chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :],
                    m, coeff if i % 2 else -coeff)
     negate = n % 2 == 0
-    for c in cat.objects:
-        table = mod.right.get((x0, xn, c))
-        if table:
-            for x in range(cat.dim(xn, c)):
-                vec = table.get((m, x))
-                if vec:
-                    budget.charge()
-                    dchain, dargs = chain + (c,), args + (x,)
-                    for mm, t in vec.items():
-                        yield dchain, dargs, mm, -t if negate else t
+    for c, x, vec in suffix:
+        dchain, dargs = chain + (c,), args + (x,)
+        for mm, t in vec:
+            yield dchain, dargs, mm, -t if negate else t
 
 
 def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
@@ -175,10 +188,11 @@ def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Coch
     """
     budget = budget or Budget()
     zero = f.cat.field.zero
+    tables = differential_tables(f.cat, f.mod)
     out: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
     for (chain, args), vec in f.data.items():
         for m, c in vec.items():
-            for dchain, dargs, mm, t in differential_terms(f.cat, f.mod, chain, args, m, budget):
+            for dchain, dargs, mm, t in differential_terms(tables, chain, args, m, budget):
                 target = out.setdefault((dchain, dargs), {})
                 target[mm] = target.get(mm, zero) + c * t
     return Cochain(f.cat, f.mod, f.degree + 1, out)
@@ -248,14 +262,16 @@ def cochain_basis(
     return keys
 
 
-def _differential_columns(cat, mod, source, target, normalized: bool, budget) -> List[Vec]:
-    """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
+def _differential_columns(cat, mod, source, target, normalized, budget, tables=None) -> List[Vec]:
+    """Raw sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
 
-    Terms on keys outside ``target`` are summed apart.  In the bar model
-    there are none, and in the normalized model they cancel, since the
+    Built from ``tables`` (:func:`differential_tables`, compiled here if not
+    given).  Terms on keys outside ``target`` are summed apart.  In the bar
+    model there are none, and in the normalized model they cancel, since the
     subcomplex is closed under ``d``; a nonzero sum means corrupted structure
     tensors.
     """
+    field, tables = cat.field, tables or differential_tables(cat, mod)
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
     blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
               for pos, (chain, args, m) in enumerate(target) if m == 0}
@@ -263,18 +279,17 @@ def _differential_columns(cat, mod, source, target, normalized: bool, budget) ->
     for chain, args, m in source:
         col: Dict = {}
         stray: Dict = {}
-        for dchain, dargs, mm, c in differential_terms(cat, mod, chain, args, m, budget):
+        for dchain, dargs, mm, c in differential_terms(tables, chain, args, m, budget):
             block = blocks.get((dchain, dargs))
             if block is not None and mm < block[1]:
                 row, acc = block[0] + mm, col
             else:
                 row, acc = (dchain, dargs, mm), stray
-            val = acc.get(row)
-            acc[row] = c if val is None else val + c
-        if any(stray.values()):
+            acc[row] = acc.get(row, 0) + c
+        if any(raw(field, c) for c in stray.values()):
             space = "normalized subcomplex" if normalized else "cochain space"
             raise PreconditionViolation(f"differential left the {space}")
-        columns.append({row: c for row, c in col.items() if c})
+        columns.append({row: v for row, v in ((row, raw(field, c)) for row, c in col.items()) if v})
     return columns
 
 
@@ -294,10 +309,10 @@ def hh_dimensions(
     if normalized is None:
         normalized = cat.identities_basis_aligned()
     bases = [cochain_basis(cat, mod, k, normalized, budget) for k in range(up_to + 2)]
-    ranks = []
-    for k in range(up_to + 1):
-        columns = _differential_columns(cat, mod, bases[k], bases[k + 1], normalized, budget)
-        ranks.append(exact_rank(columns, cat.field))
+    tables = differential_tables(cat, mod)
+    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], normalized,
+                                              budget, tables), cat.field)
+             for k in range(up_to + 1)]
     # dim HH^k = dim ker d_k - rank d_{k-1}
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
 

@@ -1,13 +1,13 @@
 """Sparse exact linear algebra over an arbitrary field.
 
-A matrix is a list of sparse columns ``{row: value}`` of field elements.  The
-Hochschild differentials handed in here hold a few nonzeros per column among
-thousands of rows, so one routine, :class:`Echelon`, reduces the columns left
-to right and touches only the rows that hold a nonzero (in the spirit of
-Markowitz, 1957); rank, a nullspace basis and a particular solution all come
-out of it.  It reduces plain numbers, converted only at its boundary: ints in
-``[0, p)`` over F_p, and over Q an int wherever the value is integral and a
-``Fraction`` only otherwise.  Values leave as field elements (``field.of``).
+A matrix is a list of sparse columns ``{row: value}`` of field elements or raw
+numbers (:func:`raw`), as the Hochschild differential hands in: a few nonzeros
+per column among thousands of rows.  One routine, :class:`Echelon`, reduces the
+columns left to right and touches only the rows that hold a nonzero (in the
+spirit of Markowitz, 1957); rank, a nullspace basis and a particular solution
+all come out of it.  It reduces raw numbers, converted only at its boundary:
+ints in ``[0, p)`` over F_p, and over Q an int wherever the value is integral
+and a ``Fraction`` only otherwise.  Values leave as field elements.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def multilinear(table: Dict, chain, arg_vecs: Sequence[Vec], one) -> Vec:
     return out
 
 
+def raw(field, value):
+    """``value`` as a raw number: an int in [0, p) over F_p, else an int or a Fraction."""
+    p = getattr(field, "p", 0)
+    if type(value) is int:
+        return value % p if p else value
+    value = field.of(value)
+    return value.value if p else value.numerator if value.denominator == 1 else value
+
+
 class Echelon:
     """Columns reduced left to right into an echelon form keyed by leading row.
 
@@ -61,14 +70,10 @@ class Echelon:
             vec, combo = self.reduce(col, {j: 1} if combos else None)
             if vec:
                 lead = min(vec)
-                inv = pow(vec[lead], -1, self.p) if self.p else self._raw(Fraction(1, vec[lead]))
+                inv = pow(vec[lead], -1, self.p) if self.p else raw(field, Fraction(1, vec[lead]))
                 self.pivots[lead] = (self._axpy({}, vec, inv), combo and self._axpy({}, combo, inv))
             elif combos:
                 self.null.append(self.export(combo, 1))
-
-    def _raw(self, value):
-        value = self.field.of(value)
-        return value.value if self.p else value.numerator if value.denominator == 1 else value
 
     def _axpy(self, target: Vec, vec: Vec, scale) -> Vec:
         """target += scale * vec on raw values, dropping zeros; returns target."""
@@ -95,7 +100,7 @@ class Echelon:
         Returns the raw residue, zero exactly when ``col`` is in the span of
         the pivots, and ``combo`` (or None) less the combinations subtracted.
         """
-        vec = {r: v for r, v in ((r, self._raw(c)) for r, c in col.items()) if v}
+        vec = {r: v for r, v in ((r, raw(self.field, c)) for r, c in col.items()) if v}
         while vec:
             lead = min(vec)
             pivot = self.pivots.get(lead)

@@ -210,6 +210,21 @@ def test_ainfty_budget_exit_code(capsys):
     assert code == 5 and "budget" in err.lower()
 
 
+def test_hhdim_runs_out_of_budget_one_unit_below_the_library_spend(capsys):
+    # the differential charges a key's terms together; the threshold is unchanged
+    from thd.ainfty import Budget, build_example, hh_dimensions
+
+    entry = build_example("dual-numbers-x-k2")
+    budget = Budget()
+    hh_dimensions(entry["category"], entry["bimodule"], 3, budget)
+    argv = ("ainfty", "hhdim", "--example", "dual-numbers-x-k2", "--up-to", "3", "--budget")
+    code, out, _ = run(capsys, *argv, str(budget.spent))
+    assert code == 0 and out
+    code, out, err = run(capsys, *argv, str(budget.spent - 1))
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "budget" in err
+
+
 def test_ainfty_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("THD_BUDGET", "10")
     code, _, _ = run(capsys, "ainfty", "verify", "--example", "dual-deformed")

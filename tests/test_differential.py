@@ -28,7 +28,7 @@ from thd.ainfty import (
     random_cochain,
     tensor_with_algebra,
 )
-from thd.ainfty.cochain import _differential_columns, differential_terms
+from thd.ainfty.cochain import _differential_columns, differential_tables, differential_terms
 from thd.ainfty.examples import dual_numbers, product_algebra_unit_basis
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
@@ -105,9 +105,10 @@ def test_terms_leaving_the_normalized_subcomplex_cancel():
     mod = CentralBimodule.regular(cat)
     chain = ("*", "*")
     identity = cat.id_basis_index("*")
+    tables = differential_tables(cat, mod)
     for m in range(2):
         sums = {}
-        for dchain, dargs, mm, c in differential_terms(cat, mod, chain, (1,), m, Budget()):
+        for dchain, dargs, mm, c in differential_terms(tables, chain, (1,), m, Budget()):
             if identity in dargs:
                 sums[(dargs, mm)] = sums.get((dargs, mm), 0) + c
         assert len(sums) == 2 and not any(sums.values())
@@ -127,6 +128,25 @@ def test_a_corrupted_action_that_leaves_the_subcomplex_still_raises():
         hh_dimensions(cat, mod, 2, normalized=True)
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
         cocycle_space(cat, mod, 1, normalized=True)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_call_reads_the_tensors_as_they_are_then(field):
+    # the tables of the differential are compiled per call: a call after the
+    # left action is corrupted in place, on the same objects, must see it
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {1: field.one}})
+    assert hh_dimensions(cat, mod, 2, normalized=True) == [2, 1, 1]
+    assert len(cocycle_space(cat, mod, 1, normalized=True)) == 1
+    before = hochschild_differential(f)
+    mod.left[("*", "*", "*")][(0, 1)] = {1: field.of(2)}
+    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+        hh_dimensions(cat, mod, 2, normalized=True)
+    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+        cocycle_space(cat, mod, 1, normalized=True)
+    after = hochschild_differential(f)
+    assert after == per_key_hochschild_differential(f) and after != before
 
 
 def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():

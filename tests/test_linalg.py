@@ -221,6 +221,65 @@ def test_rank_builds_no_combinations_and_reads_plain_ints():
     assert solve([{0: 2}], {0: 1}, QQ) == {0: Fraction(1, 2)}
 
 
+RAW_FIELDS = (PrimeField(7), PrimeField(32003), QQ)
+
+
+def raw_cases(seeds=range(400, 436)):
+    """Seeded (field, raw columns, the same columns as field elements, nrows).
+
+    A raw value is an int that may be negative or at least p, and over Q
+    also an integral or a proper ``Fraction``; some entries are explicit
+    zeros (``0``, or a multiple of p).
+    """
+    for seed in seeds:
+        rng = random.Random(seed)
+        field = RAW_FIELDS[seed % len(RAW_FIELDS)]
+        p = getattr(field, "p", 0)
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        ints = known_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        raw_cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(ints):
+            for j, c in enumerate(row):
+                if c and p:
+                    raw_cols[j][i] = c + p * rng.randint(-2, 2)
+                elif c:
+                    k = rng.randint(1, 4)
+                    raw_cols[j][i] = rng.choice((c, Fraction(c * k, k), Fraction(c, k + 1)))
+                elif rng.random() < 0.2:
+                    raw_cols[j][i] = p * rng.randint(-2, 2)
+        yield field, raw_cols, [{i: field.of(c) for i, c in col.items() if field.of(c)}
+                                for col in raw_cols], nrows
+
+
+@pytest.mark.parametrize("field,raw_cols,field_cols,nrows", list(raw_cases()))
+def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_cols, nrows):
+    ncols = len(raw_cols)
+    before = [dict(col) for col in raw_cols]
+    rows = [[col.get(i, field.zero) for col in field_cols] for i in range(nrows)]
+    assert exact_rank(raw_cols, field) == exact_rank(field_cols, field) == dense_rank(rows)
+    basis = nullspace(raw_cols, field)
+    assert basis == nullspace(field_cols, field)
+    assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
+    rng = random.Random(nrows * 17 + ncols)
+    raw_rhs = {i: rng.randint(-40, 40) for i in range(nrows)}
+    image = {}
+    for j, col in enumerate(raw_cols):  # a rhs in the column span, as raw values
+        scale = rng.randint(-3, 3)
+        for i, c in col.items():
+            image[i] = image.get(i, 0) + scale * c
+    for rhs in (raw_rhs, image):
+        got = solve(raw_cols, rhs, field)
+        assert got == solve(field_cols, {i: field.of(c) for i, c in rhs.items()}, field)
+        want = dense_solve(rows, [field.of(rhs.get(i, 0)) for i in range(nrows)], ncols, field)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert dense_vec(got, ncols, field) == want
+            basis.append(got)
+    assert solve(raw_cols, image, field) is not None
+    assert all(type(c) is element_type(field) for vec in basis for c in vec.values())
+    assert raw_cols == before
+
+
 # ------------------------------------------------------------------- fields
 def test_division_from_the_left_by_field_elements():
     F = PrimeField(7)
