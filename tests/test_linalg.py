@@ -263,7 +263,7 @@ def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_co
     rng = random.Random(nrows * 17 + ncols)
     raw_rhs = {i: rng.randint(-40, 40) for i in range(nrows)}
     image = {}
-    for j, col in enumerate(raw_cols):  # a rhs in the column span, as raw values
+    for col in raw_cols:  # a rhs in the column span, as raw values
         scale = rng.randint(-3, 3)
         for i, c in col.items():
             image[i] = image.get(i, 0) + scale * c
