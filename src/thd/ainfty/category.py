@@ -16,6 +16,8 @@ with an algebra whose unit is not a basis vector) make that unavoidable.
 
 from __future__ import annotations
 
+import itertools
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PreconditionViolation
@@ -28,6 +30,28 @@ def vclean(vec: Vec) -> Vec:
 
 def basis_vec(idx: int, field) -> Vec:
     return {idx: field.one}
+
+
+def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r):
+    """The first basis triple with ``outer_l(inner_l(x, y), z) != outer_r(x, inner_r(y, z))``.
+
+    ``x``, ``y`` and ``z`` run over ``range(n1)``, ``range(n2)`` and
+    ``range(n3)`` in that nesting; each product maps two basis indices to a
+    vector.  Returns ``None`` when the law holds on every triple.
+    """
+    for x in range(n1):
+        for y in range(n2):
+            xy = inner_l(x, y)
+            for z in range(n3):
+                lhs: Vec = {}
+                for k, coeff in xy.items():
+                    vadd(lhs, outer_l(k, z), coeff)
+                rhs: Vec = {}
+                for k, coeff in inner_r(y, z).items():
+                    vadd(rhs, outer_r(x, k), coeff)
+                if vclean(lhs) != vclean(rhs):
+                    return x, y, z
+    return None
 
 
 class FiniteLinearCategory:
@@ -111,31 +135,17 @@ class FiniteLinearCategory:
                         raise PreconditionViolation(
                             f"identity law fails on basis element {x} of hom({a!r},{b!r})"
                         )
-        for a in self.objects:
-            for b in self.objects:
-                if not self.dim(a, b):
-                    continue
-                for c in self.objects:
-                    if not self.dim(b, c):
-                        continue
-                    for e in self.objects:
-                        if not self.dim(c, e):
-                            continue
-                        for x in range(self.dim(a, b)):
-                            for y in range(self.dim(b, c)):
-                                xy = self.diag(a, b, c, x, y)
-                                for z in range(self.dim(c, e)):
-                                    lhs: Vec = {}
-                                    for k, coeff in xy.items():
-                                        vadd(lhs, self.diag(a, c, e, k, z), coeff)
-                                    rhs: Vec = {}
-                                    for k, coeff in self.diag(b, c, e, y, z).items():
-                                        vadd(rhs, self.diag(a, b, e, x, k), coeff)
-                                    if vclean(lhs) != vclean(rhs):
-                                        raise PreconditionViolation(
-                                            f"associativity fails at ({a!r},{b!r},{c!r},{e!r}) "
-                                            f"on basis ({x},{y},{z})"
-                                        )
+        for a, b, c, e in itertools.product(self.objects, repeat=4):
+            bad = _first_nonassociative(
+                self.dim(a, b), self.dim(b, c), self.dim(c, e),
+                partial(self.diag, a, b, c), partial(self.diag, a, c, e),
+                partial(self.diag, b, c, e), partial(self.diag, a, b, e),
+            )
+            if bad:
+                x, y, z = bad
+                raise PreconditionViolation(
+                    f"associativity fails at ({a!r},{b!r},{c!r},{e!r}) on basis ({x},{y},{z})"
+                )
 
 
 def solve_identities(field, objects, dims, compose) -> Dict[object, Vec]:
@@ -185,13 +195,6 @@ class Algebra:
                 vadd(out, self.product(i, j), ci * cj)
         return out
 
-    def unit_basis_index(self) -> Optional[int]:
-        if len(self.unit) == 1:
-            ((idx, coeff),) = self.unit.items()
-            if coeff == self.field.one:
-                return idx
-        return None
-
     def validate(self) -> None:
         f = self.field
         for i in range(self.dim):
@@ -199,18 +202,11 @@ class Algebra:
                 raise PreconditionViolation(f"left unit law fails on basis element {i}")
             if vclean(self.product_vec(basis_vec(i, f), self.unit)) != {i: f.one}:
                 raise PreconditionViolation(f"right unit law fails on basis element {i}")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.product(i, j)
-                for k in range(self.dim):
-                    lhs: Vec = {}
-                    for x, c in ij.items():
-                        vadd(lhs, self.product(x, k), c)
-                    rhs: Vec = {}
-                    for x, c in self.product(j, k).items():
-                        vadd(rhs, self.product(i, x), c)
-                    if vclean(lhs) != vclean(rhs):
-                        raise PreconditionViolation(f"associativity fails on ({i},{j},{k})")
+        d, mult = self.dim, self.product
+        bad = _first_nonassociative(d, d, d, mult, mult, mult, mult)
+        if bad:
+            i, j, k = bad
+            raise PreconditionViolation(f"associativity fails on ({i},{j},{k})")
 
 
 class CentralBimodule:
@@ -281,60 +277,23 @@ class CentralBimodule:
                         raise PreconditionViolation(
                             f"unit action fails on M({a!r},{b!r}) basis element {m}"
                         )
-        objs = cat.objects
-        for a in objs:
-            for b in objs:
-                if not cat.dim(a, b):
-                    continue
-                for c in objs:
-                    for e in objs:
-                        # (x . m) . y = x . (m . y)
-                        for x in range(cat.dim(a, b)):
-                            for m in range(self.dim(b, c)):
-                                for y in range(cat.dim(c, e)):
-                                    lhs: Vec = {}
-                                    for k, coeff in self.lact(a, b, c, x, m).items():
-                                        vadd(lhs, self.ract(a, c, e, k, y), coeff)
-                                    rhs: Vec = {}
-                                    for k, coeff in self.ract(b, c, e, m, y).items():
-                                        vadd(rhs, self.lact(a, b, e, x, k), coeff)
-                                    if vclean(lhs) != vclean(rhs):
-                                        raise PreconditionViolation(
-                                            "bimodule actions do not commute at "
-                                            f"({a!r},{b!r},{c!r},{e!r})"
-                                        )
-                        # (x diag y) . m = x . (y . m)
-                        for x in range(cat.dim(a, b)):
-                            for y in range(cat.dim(b, c)):
-                                xy = cat.diag(a, b, c, x, y)
-                                for m in range(self.dim(c, e)):
-                                    lhs = {}
-                                    for k, coeff in xy.items():
-                                        vadd(lhs, self.lact(a, c, e, k, m), coeff)
-                                    rhs = {}
-                                    for k, coeff in self.lact(b, c, e, y, m).items():
-                                        vadd(rhs, self.lact(a, b, e, x, k), coeff)
-                                    if vclean(lhs) != vclean(rhs):
-                                        raise PreconditionViolation(
-                                            "left action is not associative at "
-                                            f"({a!r},{b!r},{c!r},{e!r})"
-                                        )
-                        # m . (x diag y) = (m . x) . y
-                        for m in range(self.dim(a, b)):
-                            for x in range(cat.dim(b, c)):
-                                for y in range(cat.dim(c, e)):
-                                    xy = cat.diag(b, c, e, x, y)
-                                    lhs = {}
-                                    for k, coeff in xy.items():
-                                        vadd(lhs, self.ract(a, b, e, m, k), coeff)
-                                    rhs = {}
-                                    for k, coeff in self.ract(a, b, c, m, x).items():
-                                        vadd(rhs, self.ract(a, c, e, k, y), coeff)
-                                    if vclean(lhs) != vclean(rhs):
-                                        raise PreconditionViolation(
-                                            "right action is not associative at "
-                                            f"({a!r},{b!r},{c!r},{e!r})"
-                                        )
+        for a, b, c, e in itertools.product(cat.objects, repeat=4):
+            at = f"({a!r},{b!r},{c!r},{e!r})"
+            # (x . m) . y = x . (m . y)
+            if _first_nonassociative(cat.dim(a, b), self.dim(b, c), cat.dim(c, e),
+                                     partial(self.lact, a, b, c), partial(self.ract, a, c, e),
+                                     partial(self.ract, b, c, e), partial(self.lact, a, b, e)):
+                raise PreconditionViolation(f"bimodule actions do not commute at {at}")
+            # (x diag y) . m = x . (y . m)
+            if _first_nonassociative(cat.dim(a, b), cat.dim(b, c), self.dim(c, e),
+                                     partial(cat.diag, a, b, c), partial(self.lact, a, c, e),
+                                     partial(self.lact, b, c, e), partial(self.lact, a, b, e)):
+                raise PreconditionViolation(f"left action is not associative at {at}")
+            # (m . x) . y = m . (x diag y)
+            if _first_nonassociative(self.dim(a, b), cat.dim(b, c), cat.dim(c, e),
+                                     partial(self.ract, a, b, c), partial(self.ract, a, c, e),
+                                     partial(cat.diag, b, c, e), partial(self.ract, a, b, e)):
+                raise PreconditionViolation(f"right action is not associative at {at}")
 
 
 class LinearFunctor:
@@ -427,24 +386,39 @@ def tensor_vec(vec: Vec, gvec: Vec, gdim: int) -> Vec:
     return out
 
 
+def _gamma_products(gamma: Algebra, s: int) -> List[Tuple[Tuple[int, ...], Vec]]:
+    """Every ``(g_1..g_s)`` with ``1 e_{g_1} .. e_{g_s}`` nonzero, with that product."""
+    products = [((), gamma.unit)]
+    for _ in range(s):
+        products = [(gs + (g,), p) for gs, prod in products for g in range(gamma.dim)
+                    if (p := gamma.product_vec(prod, basis_vec(g, gamma.field)))]
+    return products
+
+
+def _lift(args: Tuple[int, ...], vec: Vec, products, gdim: int):
+    """Lift one tensor entry along ``- (x) gamma``, arguments in diagram order.
+
+    Yields ``((args_k (x) g_k)_k, vec (x) g_1 .. g_s)`` for each entry of
+    ``products`` (from :func:`_gamma_products`) whose lifted value is nonzero.
+    """
+    for gs, prod in products:
+        out = tensor_vec(vec, prod, gdim)
+        if out:
+            yield tuple(pair_index(h, g, gdim) for h, g in zip(args, gs)), out
+
+
 def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCategory:
     """Hom spaces tensored with an algebra; products multiply coefficients
     in argument (diagram) order."""
     gd = gamma.dim
     dims = {k: v * gd for k, v in cat.dims.items()}
-    compose: Dict = {}
-    for (a, b, c), pairs in cat.compose.items():
-        table = compose.setdefault((a, b, c), {})
-        for (g_idx, f_idx), vec in pairs.items():
-            for gf in range(gd):
-                for gg in range(gd):
-                    # diagram order: the hom(a,b) factor carries gf
-                    gprod = gamma.product(gf, gg)
-                    if not gprod:
-                        continue
-                    out = tensor_vec(vec, gprod, gd)
-                    if out:
-                        table[(pair_index(g_idx, gg, gd), pair_index(f_idx, gf, gd))] = out
+    products = _gamma_products(gamma, 2)
+    # compose keys are in function order, the lift's arguments in diagram order
+    compose = {
+        key: {(g, f): out for (g0, f0), vec in pairs.items()
+              for (f, g), out in _lift((f0, g0), vec, products, gd)}
+        for key, pairs in cat.compose.items()
+    }
     identities = {
         a: tensor_vec(cat.identity_vector(a), gamma.unit, gd)
         for a in cat.objects
@@ -456,26 +430,11 @@ def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCa
 def tensor_bimodule(M: CentralBimodule, gamma: Algebra, tcat: FiniteLinearCategory) -> CentralBimodule:
     gd = gamma.dim
     dims = {k: v * gd for k, v in M.dims.items()}
-    left: Dict = {}
-    right: Dict = {}
-    for (a, b, c), pairs in M.left.items():
-        table = left.setdefault((a, b, c), {})
-        for (x, m), vec in pairs.items():
-            for gx in range(gd):
-                for gm in range(gd):
-                    gprod = gamma.product(gx, gm)
-                    if gprod:
-                        out = tensor_vec(vec, gprod, gd)
-                        if out:
-                            table[(pair_index(x, gx, gd), pair_index(m, gm, gd))] = out
-    for (a, b, c), pairs in M.right.items():
-        table = right.setdefault((a, b, c), {})
-        for (m, x), vec in pairs.items():
-            for gm in range(gd):
-                for gx in range(gd):
-                    gprod = gamma.product(gm, gx)
-                    if gprod:
-                        out = tensor_vec(vec, gprod, gd)
-                        if out:
-                            table[(pair_index(m, gm, gd), pair_index(x, gx, gd))] = out
+    products = _gamma_products(gamma, 2)
+    left, right = (
+        {key: {lifted: out for args, vec in pairs.items()
+               for lifted, out in _lift(args, vec, products, gd)}
+         for key, pairs in table.items()}
+        for table in (M.left, M.right)
+    )
     return CentralBimodule(tcat, dims, left, right)

@@ -36,12 +36,12 @@ from .category import (
     FiniteLinearCategory,
     LinearFunctor,
     Vec,
+    _gamma_products,
+    _lift,
     basis_vec,
-    pair_index,
     restricted_bimodule,
     tensor_bimodule,
     tensor_category,
-    tensor_vec,
     vadd,
     vclean,
 )
@@ -374,27 +374,9 @@ def cup_with_identity(eta: Cochain, gamma: Algebra,
     gd = gamma.dim
     tcat = tcat or tensor_category(cat, gamma)
     tmod = tmod or tensor_bimodule(eta.mod, gamma, tcat)
-    data: Dict = {}
-    def gamma_products(k: int):
-        # all (g_1..g_k) with their product vector
-        stack = [((), gamma.unit)]
-        for _ in range(k):
-            nxt = []
-            for tup, prod in stack:
-                for g in range(gd):
-                    p = gamma.product_vec(prod, basis_vec(g, gamma.field))
-                    if p:
-                        nxt.append((tup + (g,), p))
-            stack = nxt
-        return stack
-    gtuples = gamma_products(n)
-    for (chain, args), vec in eta.data.items():
-        for gtuple, gprod in gtuples:
-            new_args = tuple(pair_index(args[k], gtuple[k], gd) for k in range(n))
-            out = tensor_vec(vec, gprod, gd)
-            if out:
-                target = data.setdefault((chain, new_args), {})
-                vadd(target, out, cat.field.one)
+    products = _gamma_products(gamma, n)
+    data = {(chain, lifted): out for (chain, args), vec in eta.data.items()
+            for lifted, out in _lift(args, vec, products, gd)}
     return Cochain(tcat, tmod, n, data)
 
 

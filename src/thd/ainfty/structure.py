@@ -33,8 +33,9 @@ from .category import (
     CentralBimodule,
     FiniteLinearCategory,
     Vec,
+    _gamma_products,
+    _lift,
     basis_vec,
-    pair_index,
     tensor_category,
     tensor_vec,
     vadd,
@@ -319,21 +320,9 @@ def tensor_with_algebra(obj, gamma: Algebra):
         basis[key] = tuple(degrees[h] for h in range(len(degrees)) for _ in range(gd))
     ops: OpsTable = {}
     for s, table in A.ops.items():
-        new_table: Dict = {}
-        for (chain, args), vec in table.items():
-            for gtuple in itertools.product(range(gd), repeat=s):
-                gprod: Vec = gamma.unit
-                for g in gtuple:
-                    gprod = gamma.product_vec(gprod, basis_vec(g, gamma.field))
-                    if not gprod:
-                        break
-                if not gprod:
-                    continue
-                new_args = tuple(pair_index(args[k], gtuple[k], gd) for k in range(s))
-                out = tensor_vec(vec, gprod, gd)
-                if out:
-                    new_table[(chain, new_args)] = out
-        ops[s] = new_table
+        products = _gamma_products(gamma, s)
+        ops[s] = {(chain, lifted): out for (chain, args), vec in table.items()
+                  for lifted, out in _lift(args, vec, products, gd)}
     units = {}
     for a, unit in A.units.items():
         units[a] = tensor_vec(unit, gamma.unit, gd)

@@ -1,11 +1,14 @@
+import copy
 import random
 
 import pytest
 
 from thd.ainfty import (
+    Algebra,
     Budget,
     CentralBimodule,
     Cochain,
+    FiniteLinearCategory,
     LinearFunctor,
     PrimeField,
     QQ,
@@ -13,6 +16,7 @@ from thd.ainfty import (
     cocycle_space,
     cup_with_identity,
     deform,
+    example_names,
     from_linear_category,
     hh_dimensions,
     hochschild_differential,
@@ -73,6 +77,69 @@ def test_identity_basis_alignment():
     # the idempotent-basis product algebra has unit e1 + e2
     assert not tensor_with_algebra(dual_numbers(), product_algebra()).identities_basis_aligned()
     assert tensor_with_algebra(dual_numbers(), product_algebra_unit_basis()).identities_basis_aligned()
+
+
+def _validate_message(obj):
+    with pytest.raises(PreconditionViolation) as info:
+        obj.validate()
+    return str(info.value)
+
+
+def test_category_validate_reports_the_first_nonassociative_triple():
+    cat = tensor_with_algebra(dual_numbers(), matrix_algebra())
+    compose = copy.deepcopy(cat.compose)
+    # (1 (x) E01) then (1 (x) E10) should be 1 (x) E00; make it zero
+    compose[("*", "*", "*")][(2, 1)] = {}
+    broken = FiniteLinearCategory(QQ, cat.objects, cat.dims, compose, cat.identities)
+    assert _validate_message(broken) == "associativity fails at ('*','*','*','*') on basis (1,2,1)"
+
+
+def test_algebra_validate_reports_the_first_nonassociative_triple():
+    gamma = matrix_algebra()
+    mult = dict(gamma.mult)
+    del mult[(1, 2)]  # E01 E10 = 0 instead of E00
+    assert _validate_message(Algebra(QQ, 4, mult, gamma.unit)) == "associativity fails on (1,2,1)"
+
+
+def test_bimodule_validate_reports_noncommuting_actions():
+    cat = dual_numbers()
+    mod = regular(cat)
+    right = copy.deepcopy(mod.right)
+    right[("*", "*", "*")][(1, 1)] = {0: QQ.one}  # x . x = 1 on the right only
+    broken = CentralBimodule(cat, mod.dims, mod.left, right)
+    assert _validate_message(broken) == "bimodule actions do not commute at ('*','*','*','*')"
+
+
+def _augmentation_bimodule(left_extra=None, right_extra=None):
+    """k over k[x]/(x^2) with x acting by zero, plus the given extra entries."""
+    one, key = QQ.one, ("*", "*", "*")
+    left = {key: {(0, 0): {0: one}, **(left_extra or {})}}
+    right = {key: {(0, 0): {0: one}, **(right_extra or {})}}
+    return CentralBimodule(dual_numbers(), {("*", "*"): 1}, left, right)
+
+
+def test_bimodule_validate_reports_nonassociative_actions():
+    _augmentation_bimodule().validate()
+    left = _augmentation_bimodule(left_extra={(1, 0): {0: QQ.one}})  # x . e = e
+    assert _validate_message(left) == "left action is not associative at ('*','*','*','*')"
+    right = _augmentation_bimodule(right_extra={(0, 1): {0: QQ.one}})  # e . x = e
+    assert _validate_message(right) == "right action is not associative at ('*','*','*','*')"
+
+
+def test_right_action_is_checked_where_there_are_no_arrows_between_objects():
+    # End(a) = k, End(b) = k[x]/(x^2), no arrows between a and b;
+    # M(a, b) = k with e . x = e, so (e . x) . x = e while x x = 0
+    one = QQ.one
+    cat = FiniteLinearCategory(
+        QQ, ["a", "b"], {("a", "a"): 1, ("b", "b"): 2},
+        {("a", "a", "a"): {(0, 0): {0: one}},
+         ("b", "b", "b"): {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}},
+        {"a": {0: one}, "b": {0: one}},
+    )
+    cat.validate()
+    mod = CentralBimodule(cat, {("a", "b"): 1}, {("a", "a", "b"): {(0, 0): {0: one}}},
+                          {("a", "b", "b"): {(0, 0): {0: one}, (0, 1): {0: one}}})
+    assert _validate_message(mod) == "right action is not associative at ('a','b','b','b')"
 
 
 # -------------------------------------------------------------- differential
@@ -353,6 +420,43 @@ def test_cup_deformation_compatibility():
         assert route1.basis == route2.basis
         assert route1.ops == route2.ops
         assert route1.units == route2.units
+
+
+BUNDLED_ALGEBRAS = (scalar_algebra, product_algebra, product_algebra_unit_basis, matrix_algebra)
+
+
+def _bundled_categories():
+    for name in example_names():
+        entry = build_example(name)
+        if entry["kind"] == "category":
+            yield name, entry["category"]
+
+
+@pytest.mark.parametrize("make_gamma", BUNDLED_ALGEBRAS)
+def test_tensor_routes_agree_on_bundled_categories(make_gamma):
+    gamma = make_gamma()
+    for name, cat in _bundled_categories():
+        tcat = tensor_category(cat, gamma)
+        assert (from_linear_category(tcat).ops
+                == tensor_with_algebra(from_linear_category(cat), gamma).ops), name
+        tmod = tensor_bimodule(regular(cat), gamma, tcat)
+        reg = regular(tcat)
+        for side in ("left", "right"):
+            lifted = {k: t for k, t in getattr(tmod, side).items() if t}
+            assert lifted == getattr(reg, side), (name, side)
+
+
+@pytest.mark.parametrize("make_gamma", BUNDLED_ALGEBRAS)
+def test_cup_of_a_degree0_cochain_is_its_tensor_with_the_unit(make_gamma):
+    gamma = make_gamma()
+    gd = gamma.dim
+    for name, cat in _bundled_categories():
+        mod = regular(cat)
+        data = {((a,), ()): {m: QQ.of(m + 2) for m in range(mod.dim(a, a))} for a in cat.objects}
+        eta = Cochain(cat, mod, 0, data)
+        want = {key: {h * gd + g: c * cg for h, c in vec.items() for g, cg in gamma.unit.items()}
+                for key, vec in eta.data.items()}
+        assert cup_with_identity(eta, gamma).data == want, name
 
 
 # ---------------------------------------------------------------- restriction
