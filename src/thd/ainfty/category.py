@@ -270,6 +270,13 @@ class CentralBimodule:
         cat, f = self.cat, self.field
         for a in cat.objects:
             for b in cat.objects:
+                if not self.dim(a, b):
+                    continue
+                for x in (a, b):
+                    if x not in cat.identities:
+                        raise PreconditionViolation(
+                            f"M({a!r},{b!r}) is nonzero but object {x!r} has no identity"
+                        )
                 for m in range(self.dim(a, b)):
                     lv = self.lact_vec(a, a, b, cat.identity_vector(a), basis_vec(m, f))
                     rv = self.ract_vec(a, b, b, basis_vec(m, f), cat.identity_vector(b))

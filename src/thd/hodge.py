@@ -9,17 +9,24 @@ Only four loci of the ``(n+1) x (n+1)`` table can be nonzero: the lower edge
 ``j = 0``, the upper edge ``j = n``, the anti-diagonal ``i + j = n`` and the
 diagonal ``i = j``.  Each locus has its own exact evaluation:
 
-* anti-diagonal ("middle line"): an alternating binomial sum in ``(n, d, p)``
-  plus a Kronecker delta at ``p = 0`` on the central entry;
+* anti-diagonal ("middle line"): one coefficient of the Hilbert series
+  ``(1 + z + ... + z^{d-2})^{n+2}`` of the Jacobian ring of a degree-``d``
+  form in ``n + 2`` variables (Griffiths, Ann. of Math. 90, 1969), computed
+  once per ``(n, d)``, plus a Kronecker delta at ``p = 0`` on the central
+  entry;
 * diagonal away from the corners and the center: ``delta_{p,0}``;
 * corners: section counts of twists of the structure sheaf, via the Koszul
   resolution on the ambient space and Serre duality;
-* edges ``j = 0`` (and ``j = n`` by Serre duality): a descending recursion
-  that peels off one exterior power at a time through the restriction of
-  ambient differential forms.  Closed-form edge expressions that truncate
-  this recursion are only valid for small twists, so the recursion is the
-  implementation of record; it is validated against an independent
+* edges ``j = 0`` (and ``j = n`` by Serre duality): a loop that peels off
+  one exterior power at a time through the restriction of ambient
+  differential forms, and stops as soon as every remaining ambient term
+  vanishes.  Closed-form edge expressions that truncate this loop are only
+  valid for small twists; the loop is validated against an independent
   Euler-characteristic oracle (:func:`euler_characteristic`) in the tests.
+
+Every evaluation is a loop (the ``n = 3`` edge correction makes one nested
+call), so the cost of a diamond is linear in ``n`` for a fixed twist and no
+dimension fails on recursion depth.
 
 Everything is exact integer arithmetic.
 """
@@ -81,26 +88,55 @@ def structure_sheaf_h0(X: Hypersurface, p: int) -> int:
     return binom(p + n1, n1) - binom(p - X.d + n1, n1)
 
 
+def _chi_line(m: int, q: int) -> int:
+    """``chi(O_{P^m}(q)) = (q+1)(q+2)...(q+m) / m!``, the binomial polynomial.
+
+    Unlike :func:`binom` it does not vanish for ``q < -m``, where it is
+    ``(-1)^m binom(-q-1, m)``.
+    """
+    if q >= 0:
+        return math.comb(q + m, m)
+    if q >= -m:
+        return 0
+    return (-1) ** m * math.comb(-q - 1, m)
+
+
 @lru_cache(maxsize=None)
 def _chi_ambient_forms(m: int, i: int, q: int) -> int:
-    """Euler characteristic of ``Omega^i_{P^m}(q)``, by the Euler sequence."""
+    """Euler characteristic of ``Omega^i_{P^m}(q)``, by the Euler sequence.
+
+    ``0 -> Omega^l(q) -> O(q-l)^binom(m+1, l) -> Omega^{l-1}(q) -> 0``,
+    climbed from ``l = 0`` to ``l = i``.
+    """
     if i < 0 or i > m:
         return 0
-    if i == 0:
-        num = 1
-        for k in range(1, m + 1):
-            num *= q + k
-        return num // math.factorial(m)
-    return math.comb(m + 1, i) * _chi_ambient_forms(m, 0, q - i) - _chi_ambient_forms(m, i - 1, q)
+    total = 0
+    for l in range(i + 1):
+        total = math.comb(m + 1, l) * _chi_line(m, q - l) - total
+    return total
 
 
 @lru_cache(maxsize=None)
 def _chi_forms(n: int, d: int, i: int, p: int) -> int:
+    """``chi(Omega^i_X(p))`` for ``X`` of dimension ``n`` and degree ``d``.
+
+    Restriction and the conormal sequence give, for ``m = n + 1``,
+
+        chi(Omega^i_X(p)) = chi(Omega^i_P(p)) - chi(Omega^i_P(p-d)) - chi(Omega^{i-1}_X(p-d)).
+
+    Unrolled down to ``i = -1``, with the Euler sequence applied once to each
+    second ambient term, the alternating sum telescopes to
+    ``chi(Omega^i_P(p))`` minus one line-bundle term per level ``k``:
+    ``binom(m+1, i-k) chi(O_P(p - (k+1)d - (i-k)))``.
+    """
     if i < 0 or i > n:
         return 0
     m = n + 1
-    restricted = _chi_ambient_forms(m, i, p) - _chi_ambient_forms(m, i, p - d)
-    return restricted - _chi_forms(n, d, i - 1, p - d)
+    total = _chi_ambient_forms(m, i, p)
+    for k in range(i + 1):
+        term = math.comb(m + 1, i - k) * _chi_line(m, p - (k + 1) * d - (i - k))
+        total += term if k % 2 else -term
+    return total
 
 
 def euler_characteristic(X: Hypersurface, i: int, p: int) -> int:
@@ -114,12 +150,32 @@ def euler_characteristic(X: Hypersurface, i: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _jacobian_series(n: int, d: int) -> tuple:
+    """Coefficients of ``(1 + z + ... + z^{d-2})^{n+2}``; ``()`` for ``d = 1``.
+
+    This is the Hilbert series of the Jacobian ring of the Fermat form of
+    degree ``d`` in ``n + 2`` variables.  Miller's recurrence for a power of
+    a polynomial with constant term 1 gives ``a_0 = 1`` and
+    ``k a_k = sum_{j=1}^{min(d-2, k)} ((n+3) j - k) a_{k-j}``, exactly.
+    """
+    if d == 1:
+        return ()
+    a = [1]
+    for k in range(1, (n + 2) * (d - 2) + 1):
+        a.append(sum(((n + 3) * j - k) * a[k - j] for j in range(1, min(d - 2, k) + 1)) // k)
+    return tuple(a)
+
+
+@lru_cache(maxsize=None)
 def _middle(n: int, d: int, p: int, i: int) -> int:
-    """Anti-diagonal entry ``h^{i,n-i}_p`` for ``0 < i < n``."""
-    total = sum(
-        (-1) ** mu * binom(n + 2, mu) * binom(-p + i * d - (mu - 1) * (d - 1), n + 1)
-        for mu in range(0, n + 3)
-    )
+    """Anti-diagonal entry ``h^{i,n-i}_p`` for ``0 < i < n``.
+
+    The coefficient of ``z^{(i+1)d - n - 2 - p}`` in :func:`_jacobian_series`
+    (0 outside its range), plus 1 on the central entry at ``p = 0``.
+    """
+    series = _jacobian_series(n, d)
+    k = (i + 1) * d - n - 2 - p
+    total = series[k] if 0 <= k < len(series) else 0
     if p == 0 and i == n - i:
         total += 1
     return total
@@ -129,7 +185,7 @@ def _middle(n: int, d: int, p: int, i: int) -> int:
 def _edge_h0(n: int, d: int, i: int, q: int) -> int:
     """``h^{i,0}_q(X) = dim H^0(X, Omega^i_X(q))`` for ``0 <= i < n``.
 
-    Recursion through the restricted ambient forms ``Omega^i_{P^{n+1}}|_X``:
+    Through the restricted ambient forms ``Omega^i_{P^{n+1}}|_X``:
 
         h^0(Omega^i|_X(q)) = h^0(Omega^i_P(q)) - h^0(Omega^i_P(q-d))  (+1 at (i,q)=(1,d))
         h^{i,0}_q(X)       = h^0(Omega^i|_X(q)) - h^{i-1,0}_{q-d}(X)
@@ -138,17 +194,32 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
     the defining equation itself at ``(i, q) = (1, d)``, and the hyperplane
     class at ``(i, q) = (2, d)`` when ``n = 3``, where the second step is
     instead pinned by the Euler characteristic.
+
+    The second line is unrolled into a loop over the levels
+    ``(i - k, q - kd)`` with alternating signs, ending in the section count
+    of ``O_X(q - id)``.  Once ``q <= i`` the ambient terms vanish, since
+    ``binom(q-1, i) = 0``, and they vanish on every level below too, so only
+    the +1 (reached when ``q = id``) and the last term are left.
     """
-    if i == 0:
-        n1 = n + 1
-        return binom(q + n1, n1) - binom(q - d + n1, n1)
     m = n + 1
-    restricted = projective_space_hodge(m, q, i, 0) - projective_space_hodge(m, q - d, i, 0)
-    if i == 1 and q == d:
-        restricted += 1
-    if n == 3 and i == 2 and q == d:
-        return _chi_forms(3, d, 2, d) + _middle(3, d, d, 2) + _edge_h0(3, d, 1, -d)
-    return restricted - _edge_h0(n, d, i - 1, q - d)
+    total, sign = 0, 1
+    while i > 0:
+        if n == 3 and i == 2 and q == d:
+            pinned = _chi_forms(3, d, 2, d) + _middle(3, d, d, 2) + _edge_h0(3, d, 1, -d)
+            return total + sign * pinned
+        if q <= i:
+            if q == i * d:
+                total += sign if i % 2 else -sign
+            if i % 2:
+                sign = -sign
+            q -= i * d
+            break
+        restricted = projective_space_hodge(m, q, i, 0) - projective_space_hodge(m, q - d, i, 0)
+        if i == 1 and q == d:
+            restricted += 1
+        total += sign * restricted
+        sign, i, q = -sign, i - 1, q - d
+    return total + sign * (binom(q + m, m) - binom(q - d + m, m))
 
 
 def hodge_number(X: Hypersurface, p: int, i: int, j: int) -> int:
@@ -225,9 +296,14 @@ class TwistedHodgeDiamond:
 
 
 def diamond(X: Hypersurface, p: int) -> TwistedHodgeDiamond:
-    """The ``p``-twisted Hodge diamond of ``X``."""
+    """The ``p``-twisted Hodge diamond of ``X``.
+
+    Only the support cells ``j in {0, n, n - i, i}`` of each row are
+    evaluated; every other entry is 0.
+    """
     n = X.n
-    entries = tuple(
-        tuple(hodge_number(X, p, i, j) for j in range(n + 1)) for i in range(n + 1)
-    )
-    return TwistedHodgeDiamond(X, p, entries)
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in {0, n, n - i, i}:
+            rows[i][j] = hodge_number(X, p, i, j)
+    return TwistedHodgeDiamond(X, p, tuple(map(tuple, rows)))

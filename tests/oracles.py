@@ -16,10 +16,17 @@ failure, never as a silent pass.
 
 from functools import lru_cache
 from itertools import combinations, product
+from math import comb, factorial
 
 import numpy as np
 
-from thd import PreconditionViolation, hodge_number
+from thd import (
+    Hypersurface,
+    PreconditionViolation,
+    hodge_number,
+    projective_space_hodge,
+    structure_sheaf_h0,
+)
 from thd.ainfty import Budget, Cochain, StasheffReport
 from thd.ainfty.category import basis_vec
 from thd.ainfty.linalg import vadd
@@ -115,8 +122,6 @@ def brute_projective_hodge(m: int, p: int, i: int, j: int) -> int:
     if l <= 0:
         return 0
     nv = m + 1
-    from math import comb
-
     free_dim = comb(nv, l) * len(_monomials(nv, p - l))
     return _syzygy_h0(m, l - 1, p) + _syzygy_h0(m, l, p) - free_dim
 
@@ -398,5 +403,60 @@ def alt_binom_sum(terms):
     """
     total = 0
     for sign, outer, inner in terms:
-        total += sign * binom(*outer) * binom(*inner)
+        value = binom(*inner)
+        if value:
+            total += sign * binom(*outer) * value
     return total
+
+
+# The evaluations the library used before the Jacobian-ring series and the
+# edge and Euler-characteristic loops, kept as oracles for them.  The edge
+# and chi recursions go about ``i`` frames deep.
+
+
+def middle_alt_sum(n, d, p, i):
+    """``h^{i,n-i}_p`` for ``0 < i < n`` as an alternating binomial sum."""
+    total = alt_binom_sum(
+        ((-1) ** mu, (n + 2, mu), (-p + i * d - (mu - 1) * (d - 1), n + 1))
+        for mu in range(n + 3)
+    )
+    if p == 0 and i == n - i:
+        total += 1
+    return total
+
+
+@lru_cache(maxsize=None)
+def recursive_chi_ambient_forms(m, i, q):
+    """``chi(Omega^i_{P^m}(q))`` by the Euler sequence, descending in ``i``."""
+    if i < 0 or i > m:
+        return 0
+    if i == 0:
+        num = 1
+        for k in range(1, m + 1):
+            num *= q + k
+        return num // factorial(m)
+    return comb(m + 1, i) * recursive_chi_ambient_forms(m, 0, q - i) - recursive_chi_ambient_forms(m, i - 1, q)
+
+
+@lru_cache(maxsize=None)
+def recursive_chi_forms(n, d, i, p):
+    """``chi(Omega^i_X(p))`` by restriction and the conormal sequence."""
+    if i < 0 or i > n:
+        return 0
+    m = n + 1
+    restricted = recursive_chi_ambient_forms(m, i, p) - recursive_chi_ambient_forms(m, i, p - d)
+    return restricted - recursive_chi_forms(n, d, i - 1, p - d)
+
+
+@lru_cache(maxsize=None)
+def recursive_edge_h0(n, d, i, q):
+    """``h^{i,0}_q`` for ``0 <= i < n`` by the descending edge recursion."""
+    if i == 0:
+        return structure_sheaf_h0(Hypersurface(n, d), q)
+    if n == 3 and i == 2 and q == d:
+        return recursive_chi_forms(3, d, 2, d) + middle_alt_sum(3, d, d, 2) + recursive_edge_h0(3, d, 1, -d)
+    m = n + 1
+    restricted = projective_space_hodge(m, q, i, 0) - projective_space_hodge(m, q - d, i, 0)
+    if i == 1 and q == d:
+        restricted += 1
+    return restricted - recursive_edge_h0(n, d, i - 1, q - d)

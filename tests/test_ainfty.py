@@ -142,6 +142,17 @@ def test_right_action_is_checked_where_there_are_no_arrows_between_objects():
     assert _validate_message(mod) == "right action is not associative at ('a','b','b','b')"
 
 
+def test_bimodule_over_an_object_without_identity_is_a_precondition_violation():
+    # hom(b, b) = k only, so a has no identity; M(a, b) = k
+    one = QQ.one
+    cat = FiniteLinearCategory(
+        QQ, ["a", "b"], {("b", "b"): 1}, {("b", "b", "b"): {(0, 0): {0: one}}}, {"b": {0: one}},
+    )
+    cat.validate()
+    mod = CentralBimodule(cat, {("a", "b"): 1}, {}, {("a", "b", "b"): {(0, 0): {0: one}}})
+    assert _validate_message(mod) == "M('a','b') is nonzero but object 'a' has no identity"
+
+
 # -------------------------------------------------------------- differential
 def test_differential_of_central_degree0_cochain_vanishes():
     cat = dual_numbers()

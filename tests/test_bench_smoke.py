@@ -21,3 +21,21 @@ def test_benchmark_workload_is_correct_and_nothing_fails(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("workload", ["hh-bar", "deform-pipeline", "hypersurface-sweep"])
+def test_traced_run_ends_in_strict_json_with_every_metric_present(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "2", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True, proc.stderr
+    absent = sorted(name for name, metric in result["metrics"].items() if metric.get("absent"))
+    assert absent == []

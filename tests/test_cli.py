@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,22 @@ def test_diamond_json_round_trip(capsys):
     parsed = {(int(i), int(j)): int(v) for i, j, v in rows}
     assert parsed == {(i, j): v for (i, j, v) in dd.nonzero_entries()}
     assert all(int(v) > 0 for v in parsed.values())
+
+
+def test_diamond_of_dimension_500_runs_as_a_command():
+    # the edges once recursed about n frames deep and ended in a traceback
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thd.cli", "diamond", "--n", "500", "--d", "5", "--twist", "-7",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    parsed = {(int(i), int(j)): int(v) for i, j, v in doc["entries"][1:]}
+    assert parsed == {(i, j): v for (i, j, v) in diamond(Hypersurface(500, 5), -7).nonzero_entries()}
 
 
 def test_diamond_csv(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import brute_projective_hodge
+from oracles import brute_projective_hodge, middle_alt_sum, recursive_chi_forms, recursive_edge_h0
 from thd import (
     Hypersurface,
     PreconditionViolation,
@@ -213,3 +213,59 @@ def test_degree_one_hypersurface_is_projective_space():
             for i in range(n + 1):
                 for j in range(n + 1):
                     assert hodge_number(X, p, i, j) == projective_space_hodge(n, p, i, j)
+
+
+# The grid on which the series and loops are checked against the recursions
+# and the alternating sum they replaced: every small (n, d), including curves,
+# d = 1 and d = 2, over a wide twist window, and a few large (n, d).
+ORACLE_GRID = [(n, d, range(-70, 60)) for n in range(1, 16) for d in range(1, 11)] + [
+    (n, d, (7, -7, 0, 3, -60, 200))
+    for n, d in [(40, 3), (120, 5), (160, 5), (200, 5), (201, 2), (150, 9), (300, 1)]
+]
+
+
+def test_middle_line_matches_the_alternating_binomial_sum():
+    for n, d, twists in ORACLE_GRID:
+        X = Hypersurface(n, d)
+        for p in twists:
+            for i in range(1, n):
+                assert hodge_number(X, p, i, n - i) == middle_alt_sum(n, d, p, i), (n, d, p, i)
+
+
+def test_edges_match_the_recursion():
+    for n, d, twists in ORACLE_GRID:
+        X = Hypersurface(n, d)
+        for p in twists:
+            for i in range(1, n):
+                assert hodge_number(X, p, i, 0) == recursive_edge_h0(n, d, i, p), (n, d, p, i)
+                assert hodge_number(X, p, i, n) == recursive_edge_h0(n, d, n - i, -p), (n, d, p, i)
+
+
+def test_euler_characteristic_matches_the_recursion():
+    for n, d, twists in ORACLE_GRID:
+        X = Hypersurface(n, d)
+        degrees = range(-1, n + 2) if n < 16 else (0, 1, 2, n // 2, n - 1, n)
+        for p in twists:
+            for i in degrees:
+                assert euler_characteristic(X, i, p) == recursive_chi_forms(n, d, i, p), (n, d, p, i)
+
+
+def test_large_diamond_is_nonnegative_and_serre_dual():
+    # the edges once recursed about n frames deep: RecursionError here
+    n = 500
+    X = Hypersurface(n, 5)
+    low, high = diamond(X, -7), diamond(X, 7)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert low.entries[i][j] >= 0
+            assert low.entries[i][j] == high.entries[n - i][n - j]
+    assert low.nonzero_entries()
+
+
+def test_euler_characteristic_in_dimension_1500():
+    # chi once recursed about i frames deep: RecursionError here
+    X = Hypersurface(1500, 3)
+    chi = euler_characteristic(X, 750, 4)
+    assert chi == euler_characteristic(X, 750, -4)  # Serre duality, n even
+    row = diamond(X, 4).entries[750]
+    assert chi == sum((-1) ** j * h for j, h in enumerate(row))
