@@ -15,7 +15,6 @@ from .cochain import (
     cochain_basis,
     cocycle_space,
     cup_with_identity,
-    hh_dimension,
     hh_dimensions,
     hochschild_differential,
     random_cochain,
@@ -56,7 +55,6 @@ __all__ = [
     "format_category",
     "format_cochain",
     "from_linear_category",
-    "hh_dimension",
     "hh_dimensions",
     "hochschild_differential",
     "parse_category",

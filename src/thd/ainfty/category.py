@@ -95,9 +95,6 @@ class FiniteLinearCategory:
                 return idx
         return None
 
-    def identities_basis_aligned(self) -> bool:
-        return all(self.id_basis_index(a) is not None for a in self.objects if self.dim(a, a))
-
     # -- splits: co-multiplication data for the sparse differential ---
     def splits(self):
         """For each hom basis element, the pairs whose product hits it.

@@ -18,10 +18,10 @@ key ``(chain, args, m)``: a prefix term per entry of the left action on
 suffix term per entry of the right action.  The matrix of ``d`` sums them into
 raw sparse columns, and :func:`hochschild_differential` is their linear extension.
 
-Cochains vanishing on identity arguments form a subcomplex; cochain spaces
-are enumerated in that normalized model whenever every identity is a basis
-vector, and in the full bar model otherwise (both compute the same
-cohomology).
+Cochain spaces are enumerated in one model, the normalized subcomplex of
+cochains vanishing on identity arguments, whose keys skip each identity; it
+has the cohomology of the full bar complex.  :func:`hh_dimensions` and
+:func:`cocycle_space` first swap every identity into the basis.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .category import (
     Vec,
     _gamma_products,
     _lift,
-    basis_vec,
     restricted_bimodule,
     tensor_bimodule,
     tensor_category,
@@ -85,21 +84,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not any(self.data.values())
-
-    def is_normalized(self) -> bool:
-        """True when every evaluation with an identity inserted vanishes."""
-        cat = self.cat
-        f = cat.field
-        for (chain, args) in list(self.data):
-            for slot in range(self.degree):
-                # inserting Id at a slot only type-checks on a repeated object
-                if chain[slot] != chain[slot + 1]:
-                    continue
-                vecs = [basis_vec(i, f) for i in args]
-                vecs[slot] = cat.identity_vector(chain[slot])
-                if vclean(self.evaluate(chain, vecs)):
-                    return False
-        return True
 
     def scaled(self, c) -> "Cochain":
         return Cochain(
@@ -221,29 +205,18 @@ def cochain_basis(
     cat: FiniteLinearCategory,
     mod: CentralBimodule,
     degree: int,
-    normalized: bool,
     budget: Optional[Budget] = None,
 ) -> List[Tuple[Tuple, Tuple[int, ...], int]]:
-    """Basis keys ``(chain, args, target)`` of the degree-``degree`` cochain space."""
+    """Basis keys ``(chain, args, target)`` of the degree-``degree`` normalized cochain space.
+
+    Every identity must be a basis vector; no argument is an identity.
+    """
     budget = budget or Budget()
+    excluded = {a: cat.id_basis_index(a) for a in cat.objects if cat.dim(a, a)}
+    for a, idx in excluded.items():
+        if idx is None:
+            raise PreconditionViolation(f"identity of {a!r} is not a basis vector")
     keys: List[Tuple[Tuple, Tuple[int, ...], int]] = []
-    if degree == 0:
-        for a in cat.objects:
-            for m in range(mod.dim(a, a)):
-                budget.charge()
-                keys.append(((a,), (), m))
-        return keys
-    excluded = {}
-    if normalized:
-        for a in cat.objects:
-            if cat.dim(a, a):
-                idx = cat.id_basis_index(a)
-                if idx is None:
-                    raise PreconditionViolation(
-                        f"identity of {a!r} is not a basis vector; "
-                        "normalized cochain enumeration is unavailable"
-                    )
-                excluded[a] = idx
     for chain in _composable_chains(cat, degree):
         if not mod.dim(chain[0], chain[-1]):
             continue
@@ -255,21 +228,20 @@ def cochain_basis(
                 return
             a, b = chain[k], chain[k + 1]
             for idx in range(cat.dim(a, b)):
-                if normalized and a == b and excluded.get(a) == idx:
+                if a == b and excluded[a] == idx:
                     continue
                 rec(args + (idx,), k + 1)
         rec((), 0)
     return keys
 
 
-def _differential_columns(cat, mod, source, target, normalized, budget, tables=None) -> List[Vec]:
+def _differential_columns(cat, mod, source, target, budget, tables=None) -> List[Vec]:
     """Raw sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
 
     Built from ``tables`` (:func:`differential_tables`, compiled here if not
-    given).  Terms on keys outside ``target`` are summed apart.  In the bar
-    model there are none, and in the normalized model they cancel, since the
-    subcomplex is closed under ``d``; a nonzero sum means corrupted structure
-    tensors.
+    given).  Terms on keys outside ``target`` are summed apart.  They cancel,
+    since the normalized subcomplex is closed under ``d``; a nonzero sum
+    means corrupted structure tensors.
     """
     field, tables = cat.field, tables or differential_tables(cat, mod)
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
@@ -287,10 +259,49 @@ def _differential_columns(cat, mod, source, target, normalized, budget, tables=N
                 row, acc = (dchain, dargs, mm), stray
             acc[row] = acc.get(row, 0) + c
         if any(raw(field, c) for c in stray.values()):
-            space = "normalized subcomplex" if normalized else "cochain space"
-            raise PreconditionViolation(f"differential left the {space}")
+            raise PreconditionViolation("differential left the normalized subcomplex")
         columns.append({row: v for row, v in ((row, raw(field, c)) for row, c in col.items()) if v})
     return columns
+
+
+def identity_basis_change(cat: FiniteLinearCategory, mod: CentralBimodule):
+    """``(cat', mod', into, back)``: ``cat`` with every identity a basis vector.
+
+    For each object whose identity ``e_a`` is not a basis vector, ``cat'``
+    trades the basis vector ``e_j`` of ``hom(a, a)``, ``j`` the lowest index
+    where ``e_a`` is nonzero, for ``e_a``; every other arrow keeps its basis.
+    ``into: cat -> cat'`` and ``back: cat' -> cat`` are inverse functors and
+    ``mod'`` is ``mod`` restricted along ``back``.  ``(cat, mod, None, None)``
+    when every identity already is a basis vector.
+    """
+    swaps = {}
+    for a in cat.objects:
+        if cat.dim(a, a) and cat.id_basis_index(a) is None:
+            e = vclean(cat.identities.get(a, {}))
+            if not e:
+                raise PreconditionViolation(f"object {a!r} has endomorphisms but no identity")
+            swaps[a] = (min(e), e)
+    if not swaps:
+        return cat, mod, None, None
+    one = cat.field.one
+    into = {key: [{i: one} for i in range(d)] for key, d in cat.dims.items()}
+    back = dict(into)
+    for a, (j, e) in swaps.items():
+        inv = one / e[j]  # e_j = inv (e_a - sum_{k != j} c_k e_k)
+        back[(a, a)] = [e if i == j else v for i, v in enumerate(into[(a, a)])]
+        into[(a, a)] = [{k: (one if k == j else -c) * inv for k, c in e.items()} if i == j else v
+                        for i, v in enumerate(into[(a, a)])]
+    identities = {**cat.identities, **{a: {j: one} for a, (j, _) in swaps.items()}}
+    copy = FiniteLinearCategory(cat.field, cat.objects, cat.dims, {}, identities)
+    objects = {a: a for a in cat.objects}
+    into_f, back_f = LinearFunctor(cat, copy, objects, into), LinearFunctor(copy, cat, objects, back)
+    for a, b, c in cat.compose:
+        for x in range(cat.dim(a, b)):
+            for y in range(cat.dim(b, c)):
+                v = into_f.apply_vec(a, c, cat.diag_vec(a, b, c, back[(a, b)][x], back[(b, c)][y]))
+                if v:
+                    copy.compose.setdefault((a, b, c), {})[(y, x)] = v
+    return copy, restricted_bimodule(back_f, mod), into_f, back_f
 
 
 def hh_dimensions(
@@ -298,33 +309,17 @@ def hh_dimensions(
     mod: CentralBimodule,
     up_to: int,
     budget: Optional[Budget] = None,
-    normalized: Optional[bool] = None,
 ) -> List[int]:
-    """``dim HH^k`` for ``k = 0 .. up_to`` by exact rank-nullity.
-
-    ``normalized=None`` picks the normalized model when available.  Both
-    models compute the same cohomology; the normalized one is smaller.
-    """
+    """``dim HH^k`` for ``k = 0 .. up_to`` by exact rank-nullity, identities swapped into the basis."""
     budget = budget or Budget()
-    if normalized is None:
-        normalized = cat.identities_basis_aligned()
-    bases = [cochain_basis(cat, mod, k, normalized, budget) for k in range(up_to + 2)]
+    cat, mod, _, _ = identity_basis_change(cat, mod)
+    bases = [cochain_basis(cat, mod, k, budget) for k in range(up_to + 2)]
     tables = differential_tables(cat, mod)
-    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], normalized,
-                                              budget, tables), cat.field)
+    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], budget, tables),
+                        cat.field)
              for k in range(up_to + 1)]
     # dim HH^k = dim ker d_k - rank d_{k-1}
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
-
-
-def hh_dimension(
-    cat: FiniteLinearCategory,
-    mod: CentralBimodule,
-    degree: int,
-    budget: Optional[Budget] = None,
-    normalized: Optional[bool] = None,
-) -> int:
-    return hh_dimensions(cat, mod, degree, budget, normalized)[degree]
 
 
 def cocycle_space(
@@ -332,29 +327,32 @@ def cocycle_space(
     mod: CentralBimodule,
     degree: int,
     budget: Optional[Budget] = None,
-    normalized: Optional[bool] = None,
 ) -> List[Cochain]:
-    """A basis of closed degree-``degree`` cochains."""
+    """A basis of closed normalized degree-``degree`` cochains, in the basis of ``cat``.
+
+    They are found with the identities swapped into the basis, then pulled back.
+    """
     budget = budget or Budget()
-    if normalized is None:
-        normalized = cat.identities_basis_aligned()
-    basis = cochain_basis(cat, mod, degree, normalized, budget)
-    target = cochain_basis(cat, mod, degree + 1, normalized, budget)
-    columns = _differential_columns(cat, mod, basis, target, normalized, budget)
+    work_cat, work_mod, into, _ = identity_basis_change(cat, mod)
+    basis = cochain_basis(work_cat, work_mod, degree, budget)
+    target = cochain_basis(work_cat, work_mod, degree + 1, budget)
+    columns = _differential_columns(work_cat, work_mod, basis, target, budget)
     out = []
-    for coeffs in nullspace(columns, cat.field):
+    for coeffs in nullspace(columns, work_cat.field):
         data: Dict = {}
         for j, c in coeffs.items():
             chain, args, m = basis[j]
             data.setdefault((chain, args), {})[m] = c
+        if into is not None:
+            data = _pulled_back(into, Cochain(work_cat, work_mod, degree, data))
         out.append(Cochain(cat, mod, degree, data))
     return out
 
 
-def random_cochain(cat, mod, degree, rng, normalized: bool = True) -> Cochain:
-    """A dense-ish random cochain with small rational-style coefficients."""
+def random_cochain(cat, mod, degree, rng) -> Cochain:
+    """A dense-ish random normalized cochain; every identity must be a basis vector."""
     data: Dict = {}
-    for (chain, args, m) in cochain_basis(cat, mod, degree, normalized):
+    for (chain, args, m) in cochain_basis(cat, mod, degree):
         c = rng.randint(-3, 3)
         if c:
             data.setdefault((chain, args), {})[m] = cat.field.of(c)
@@ -386,29 +384,26 @@ def restrict_along_functor(F: LinearFunctor, eta: Cochain) -> Cochain:
     Coefficients live in the restriction of the original bimodule; the
     operation commutes with the differentials on both sides.
     """
-    src = F.source
-    n = eta.degree
     mod = restricted_bimodule(F, eta.mod)
+    return Cochain(F.source, mod, eta.degree, _pulled_back(F, eta))
+
+
+def _pulled_back(F: LinearFunctor, eta: Cochain) -> Dict:
+    """The data of :func:`restrict_along_functor`, keyed by basis arguments of ``F.source``."""
+    n = eta.degree
     data: Dict = {}
-    if n == 0:
-        for a in src.objects:
-            fa = F.obj_map[a]
-            vec = eta.component((fa,), ())
-            if vec:
-                data[((a,), ())] = dict(vec)
-        return Cochain(src, mod, 0, data)
-    for chain in _composable_chains(src, n):
+    for chain in _composable_chains(F.source, n):
         fchain = tuple(F.obj_map[a] for a in chain)
-        if not mod.dim(chain[0], chain[-1]):
+        if not eta.mod.dim(fchain[0], fchain[-1]):
             continue
         def rec(args, vecs, k):
             if k == n:
-                val = eta.evaluate(fchain, list(vecs))
-                if vclean(val):
-                    data[(chain, args)] = vclean(val)
+                val = vclean(eta.evaluate(fchain, list(vecs)))
+                if val:
+                    data[(chain, args)] = val
                 return
             a, b = chain[k], chain[k + 1]
-            for idx in range(src.dim(a, b)):
+            for idx in range(F.source.dim(a, b)):
                 rec(args + (idx,), vecs + [F.apply(a, b, idx)], k + 1)
         rec((), [], 0)
-    return Cochain(src, mod, n, data)
+    return data

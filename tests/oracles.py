@@ -28,8 +28,9 @@ from thd import (
     structure_sheaf_h0,
 )
 from thd.ainfty import Budget, Cochain, StasheffReport
-from thd.ainfty.category import basis_vec
-from thd.ainfty.linalg import vadd
+from thd.ainfty.category import basis_vec, vclean
+from thd.ainfty.cochain import _differential_columns
+from thd.ainfty.linalg import exact_rank, vadd
 from thd.ainfty.structure import _check_unitality
 from thd.combinatorics import binom
 
@@ -363,6 +364,65 @@ def per_key_differential_columns(cat, mod, source, target, normalized, budget):
                 col[pos] = c
         columns.append(col)
     return columns
+
+
+# The full bar model, which the library enumerated when an identity was not a
+# basis vector, kept as the reference for its normalized model.
+
+
+def identities_are_basis_vectors(cat):
+    return all(cat.id_basis_index(a) is not None for a in cat.objects if cat.dim(a, a))
+
+
+def is_normalized(f):
+    """True when every evaluation of the cochain ``f`` with an identity inserted vanishes."""
+    cat = f.cat
+    for chain, args in f.data:
+        for slot in range(f.degree):
+            # inserting Id at a slot only type-checks on a repeated object
+            if chain[slot] != chain[slot + 1]:
+                continue
+            vecs = [basis_vec(i, cat.field) for i in args]
+            vecs[slot] = cat.identity_vector(chain[slot])
+            if vclean(f.evaluate(chain, vecs)):
+                return False
+    return True
+
+
+def bar_cochain_basis(cat, mod, degree, budget=None):
+    """Keys ``(chain, args, target)`` of the full bar cochain space, every basis arrow in every slot.
+
+    In the order of ``cochain_basis``, one budget unit per key.
+    """
+    budget = budget or Budget()
+    keys = []
+    for chain in product(cat.objects, repeat=degree + 1):
+        homs = list(zip(chain, chain[1:]))
+        if not all(cat.dim(a, b) for a, b in homs):
+            continue
+        for args in product(*(range(cat.dim(a, b)) for a, b in homs)):
+            for m in range(mod.dim(chain[0], chain[-1])):
+                budget.charge()
+                keys.append((chain, args, m))
+    return keys
+
+
+def random_bar_cochain(cat, mod, degree, rng):
+    """A random cochain on the bar keys, coefficients in -3..3."""
+    data = {}
+    for chain, args, m in bar_cochain_basis(cat, mod, degree):
+        c = rng.randint(-3, 3)
+        if c:
+            data.setdefault((chain, args), {})[m] = cat.field.of(c)
+    return Cochain(cat, mod, degree, data)
+
+
+def bar_hh_dimensions(cat, mod, up_to):
+    """``dim HH^k`` for ``k <= up_to`` by rank-nullity on the full bar complex."""
+    bases = [bar_cochain_basis(cat, mod, k) for k in range(up_to + 2)]
+    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], Budget()), cat.field)
+             for k in range(up_to + 1)]
+    return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
 
 
 # Second routes on the hypersurface side, kept as oracles for the closed

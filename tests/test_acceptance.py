@@ -7,7 +7,7 @@ criterion with its runtime.
 import json
 import time
 
-from oracles import hh_dim_on_X_closed_form
+from oracles import bar_cochain_basis, hh_dim_on_X_closed_form
 from thd import (
     Hypersurface,
     diamond,
@@ -216,13 +216,13 @@ def test_criterion_9_deformation_suite(capsys):
     for base in (dual_numbers(), a2_path_category()):
         mod = CentralBimodule.regular(base)
         for degree in range(0, 6):
-            for chain, args, m in cochain_basis(base, mod, degree, normalized=True):
+            for chain, args, m in cochain_basis(base, mod, degree):
                 f = Cochain(base, mod, degree, {(chain, args): {m: base.field.one}})
                 assert hochschild_differential(hochschild_differential(f)).is_zero()
         tcat = tensor_with_algebra(base, product_algebra())
         tmod = CentralBimodule.regular(tcat)
         for degree in range(0, 6):
-            for chain, args, m in cochain_basis(tcat, tmod, degree, normalized=False):
+            for chain, args, m in bar_cochain_basis(tcat, tmod, degree):
                 f = Cochain(tcat, tmod, degree, {(chain, args): {m: tcat.field.one}})
                 assert hochschild_differential(hochschild_differential(f)).is_zero()
     # solved degree-3 cocycle deforms and verifies; perturbation fails at k = 4

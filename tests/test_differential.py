@@ -10,7 +10,13 @@ import random
 
 import pytest
 
-from oracles import per_key_differential_columns, per_key_hochschild_differential
+from oracles import (
+    bar_cochain_basis,
+    bar_hh_dimensions,
+    per_key_differential_columns,
+    per_key_hochschild_differential,
+    random_bar_cochain,
+)
 from thd import PreconditionViolation
 from thd.ainfty import (
     QQ,
@@ -28,16 +34,21 @@ from thd.ainfty import (
     random_cochain,
     tensor_with_algebra,
 )
-from thd.ainfty.cochain import _differential_columns, differential_tables, differential_terms
+from thd.ainfty.cochain import (
+    _differential_columns,
+    differential_tables,
+    differential_terms,
+    identity_basis_change,
+)
 from thd.ainfty.examples import dual_numbers, product_algebra_unit_basis
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
 FIELD_IDS = ["Q", "F32003", "F7"]
 
 # (name, highest source degree): the hh-bar workload takes HH of
-# dual-numbers-x-k2 to degree 4 and a2-x-k2 to degree 5 in the bar model;
-# the deform-pipeline category (dual numbers over k[u]/(u^2 - 1)) to
-# degree 4, with cocycles in degrees 3 and 4, in the normalized model.
+# dual-numbers-x-k2 to degree 4 and a2-x-k2 to degree 5, once their
+# identities are swapped into the basis; the deform-pipeline category (dual
+# numbers over k[u]/(u^2 - 1)) to degree 4, with cocycles in degrees 3 and 4.
 # In the basis (1, y = 1 + x) of k[x]/(x^2), y y = 2y - 1 has two entries,
 # which no bundled product has.
 CASES = [("k", 5), ("dual-numbers", 5), ("a2", 5), ("dual-numbers-x-k2", 4), ("a2-x-k2", 5),
@@ -59,19 +70,22 @@ def _category(name, field):
     return entry["category"], entry["bimodule"]
 
 
-def _models(cat):
-    return [False, True] if cat.identities_basis_aligned() else [False]
+def _models(cat, mod):
+    """``(category, bimodule, normalized)``: the bar model of the given category,
+    and the normalized model once its identities are swapped into the basis."""
+    swapped, smod, _, _ = identity_basis_change(cat, mod)
+    return [(cat, mod, False), (swapped, smod, True)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("name,top", CASES, ids=[name for name, _ in CASES])
 def test_columns_and_budget_match_the_per_key_oracle(name, top, field):
-    cat, mod = _category(name, field)
-    for normalized in _models(cat):
-        bases = [cochain_basis(cat, mod, k, normalized) for k in range(top + 2)]
+    for cat, mod, normalized in _models(*_category(name, field)):
+        basis = cochain_basis if normalized else bar_cochain_basis
+        bases = [basis(cat, mod, k) for k in range(top + 2)]
         for k in range(top + 1):
             new, old = Budget(), Budget()
-            got = _differential_columns(cat, mod, bases[k], bases[k + 1], normalized, new)
+            got = _differential_columns(cat, mod, bases[k], bases[k + 1], new)
             want = per_key_differential_columns(cat, mod, bases[k], bases[k + 1], normalized, old)
             assert got == want, (normalized, k)
             assert new.spent == old.spent, (normalized, k)
@@ -81,11 +95,10 @@ def test_columns_and_budget_match_the_per_key_oracle(name, top, field):
 @pytest.mark.parametrize("name", ["dual-numbers", "a2", "dual-numbers-x-k2", "pipeline",
                                   "dual-numbers-y"])
 def test_differential_of_random_cochains_matches_the_oracle(name, field):
-    cat, mod = _category(name, field)
     rng = random.Random(11)
-    for normalized in _models(cat):
+    for cat, mod, normalized in _models(*_category(name, field)):
         for degree in range(4):
-            f = random_cochain(cat, mod, degree, rng, normalized)
+            f = (random_cochain if normalized else random_bar_cochain)(cat, mod, degree, rng)
             budget = Budget()
             assert hochschild_differential(f, budget) == per_key_hochschild_differential(f)
             # one charge per nonzero term of every basis entry of f
@@ -112,10 +125,10 @@ def test_terms_leaving_the_normalized_subcomplex_cancel():
             if identity in dargs:
                 sums[(dargs, mm)] = sums.get((dargs, mm), 0) + c
         assert len(sums) == 2 and not any(sums.values())
-    source = cochain_basis(cat, mod, 1, True)
-    target = cochain_basis(cat, mod, 2, True)
-    _differential_columns(cat, mod, source, target, True, Budget())  # does not raise
-    assert hh_dimensions(cat, mod, 3, normalized=True) == hh_dimensions(cat, mod, 3, normalized=False)
+    source = cochain_basis(cat, mod, 1)
+    target = cochain_basis(cat, mod, 2)
+    _differential_columns(cat, mod, source, target, Budget())  # does not raise
+    assert hh_dimensions(cat, mod, 3) == bar_hh_dimensions(cat, mod, 3)
 
 
 def test_a_corrupted_action_that_leaves_the_subcomplex_still_raises():
@@ -125,9 +138,9 @@ def test_a_corrupted_action_that_leaves_the_subcomplex_still_raises():
     # (id, x) no longer cancels against the merge term
     mod.left[("*", "*", "*")][(0, 1)] = {1: QQ.of(2)}
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
-        hh_dimensions(cat, mod, 2, normalized=True)
+        hh_dimensions(cat, mod, 2)
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
-        cocycle_space(cat, mod, 1, normalized=True)
+        cocycle_space(cat, mod, 1)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -137,14 +150,14 @@ def test_every_call_reads_the_tensors_as_they_are_then(field):
     cat = dual_numbers(field)
     mod = CentralBimodule.regular(cat)
     f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {1: field.one}})
-    assert hh_dimensions(cat, mod, 2, normalized=True) == [2, 1, 1]
-    assert len(cocycle_space(cat, mod, 1, normalized=True)) == 1
+    assert hh_dimensions(cat, mod, 2) == [2, 1, 1]
+    assert len(cocycle_space(cat, mod, 1)) == 1
     before = hochschild_differential(f)
     mod.left[("*", "*", "*")][(0, 1)] = {1: field.of(2)}
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
-        hh_dimensions(cat, mod, 2, normalized=True)
+        hh_dimensions(cat, mod, 2)
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
-        cocycle_space(cat, mod, 1, normalized=True)
+        cocycle_space(cat, mod, 1)
     after = hochschild_differential(f)
     assert after == per_key_hochschild_differential(f) and after != before
 
@@ -153,19 +166,20 @@ def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():
     cat = dual_numbers(QQ)
     mod = CentralBimodule.regular(cat)
     mod.left[("*", "*", "*")][(1, 1)] = {2: QQ.one}  # M(*, *) has dimension 2
-    source, target = cochain_basis(cat, mod, 1, False), cochain_basis(cat, mod, 2, False)
-    with pytest.raises(PreconditionViolation, match="left the cochain space"):
-        _differential_columns(cat, mod, source, target, False, Budget())
-    with pytest.raises(PreconditionViolation, match="left the cochain space"):
-        hh_dimensions(cat, mod, 2, normalized=False)
+    # in the bar model, whose keys the library no longer enumerates
+    source, target = bar_cochain_basis(cat, mod, 1), bar_cochain_basis(cat, mod, 2)
+    with pytest.raises(PreconditionViolation, match="differential left the"):
+        _differential_columns(cat, mod, source, target, Budget())
+    with pytest.raises(PreconditionViolation, match="differential left the"):
+        bar_hh_dimensions(cat, mod, 2)
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
-        hh_dimensions(cat, mod, 2, normalized=True)
+        hh_dimensions(cat, mod, 2)
 
 
 def test_cochains_and_structures_evaluate_multilinearly():
     cat = dual_numbers(QQ)
     mod = CentralBimodule.regular(cat)
-    f = random_cochain(cat, mod, 2, random.Random(5), normalized=False)
+    f = random_bar_cochain(cat, mod, 2, random.Random(5))
     chain = ("*",) * 3
     u, v = {0: QQ.of(2), 1: QQ.of(-3)}, {0: QQ.of(5), 1: QQ.of(7)}
     want = {}

@@ -6,7 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import PRIME, dense_nullspace, dense_rank, dense_solve, rank_mod_p
+from oracles import (
+    PRIME,
+    bar_hh_dimensions,
+    dense_nullspace,
+    dense_rank,
+    dense_solve,
+    identities_are_basis_vectors,
+    rank_mod_p,
+)
 from thd.ainfty import QQ, PrimeField, build_example, example_names, field_by_name, hh_dimensions
 from thd.ainfty.fields import GFElement, is_prime
 from thd.ainfty.linalg import Echelon, exact_rank, nullspace, solve
@@ -320,11 +328,10 @@ def test_field_by_name_rejects_composite_modulus():
 def test_hh_dimensions_agree_over_q_and_a_large_prime(name):
     q = build_example(name, QQ)
     f = build_example(name, PrimeField(1_000_003))
-    assert q["category"].identities_basis_aligned() == f["category"].identities_basis_aligned()
-    models = [False] + ([True] if q["category"].identities_basis_aligned() else [])
-    for normalized in models:
-        want = hh_dimensions(q["category"], q["bimodule"], 4, normalized=normalized)
-        got = hh_dimensions(f["category"], f["bimodule"], 4, normalized=normalized)
+    assert identities_are_basis_vectors(q["category"]) == identities_are_basis_vectors(f["category"])
+    for hh in (hh_dimensions, bar_hh_dimensions):
+        want = hh(q["category"], q["bimodule"], 4)
+        got = hh(f["category"], f["bimodule"], 4)
         assert got == want
 
 
