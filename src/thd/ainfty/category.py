@@ -3,9 +3,11 @@
 Conventions used throughout the deformation engine:
 
 * ``hom(a, b)`` is a based finite-dimensional space of arrows ``a -> b``;
-* ``compose`` takes function order, ``hom(b,c) x hom(a,b) -> hom(a,c)``;
-* ``diag`` is the same product in diagram order (``x: a->b`` then
-  ``y: b->c``), the order in which Hochschild cochains consume arguments;
+* every product table is keyed in diagram order, the order in which
+  Hochschild cochains consume arguments: ``compose[(a, b, c)][(x, y)]`` is
+  ``x: a->b`` followed by ``y: b->c`` in ``hom(a,c)``, which ``diag`` looks
+  up (only the text format in :mod:`.textio` writes function order);
+* every table is extended to vectors by :func:`~.linalg.multilinear`;
 * bimodule values ``M(a, b)`` carry a left action by ``hom(a', a)`` and a
   right action by ``hom(b, b')``.  Scalars act through the field on both
   sides by construction, so centrality over the base field is built in.
@@ -21,7 +23,7 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PreconditionViolation
-from .linalg import Vec, solve, vadd
+from .linalg import Vec, multilinear, solve, vadd
 
 
 def vclean(vec: Vec) -> Vec:
@@ -61,7 +63,7 @@ class FiniteLinearCategory:
         self.field = field
         self.objects: Tuple = tuple(objects)
         self.dims: Dict[Tuple, int] = {k: v for k, v in dims.items() if v}
-        self.compose = compose  # (a,b,c) -> {(g in hom(b,c), f in hom(a,b)): Vec in hom(a,c)}
+        self.compose = compose  # (a,b,c) -> {(x in hom(a,b), y in hom(b,c)): Vec in hom(a,c)}
         self.identities: Dict[object, Vec] = identities
         self._splits: Optional[Dict] = None
 
@@ -69,19 +71,9 @@ class FiniteLinearCategory:
     def dim(self, a, b) -> int:
         return self.dims.get((a, b), 0)
 
-    def compose_basis(self, a, b, c, g: int, f: int) -> Vec:
-        return self.compose.get((a, b, c), {}).get((g, f), {})
-
     def diag(self, a, b, c, x: int, y: int) -> Vec:
         """Product of ``x: a->b`` then ``y: b->c`` as a vector in hom(a,c)."""
-        return self.compose_basis(a, b, c, y, x)
-
-    def diag_vec(self, a, b, c, xv: Vec, yv: Vec) -> Vec:
-        out: Vec = {}
-        for x, cx in xv.items():
-            for y, cy in yv.items():
-                vadd(out, self.diag(a, b, c, x, y), cx * cy)
-        return out
+        return self.compose.get((a, b, c), {}).get((x, y), {})
 
     def identity_vector(self, a) -> Vec:
         return self.identities[a]
@@ -105,10 +97,10 @@ class FiniteLinearCategory:
         if self._splits is None:
             table: Dict = {}
             for (a, b, c), pairs in self.compose.items():
-                for (g, f), vec in pairs.items():
+                for (u, v), vec in pairs.items():
                     for k, coeff in vec.items():
                         if coeff:
-                            table.setdefault((a, c), {}).setdefault(k, []).append((b, f, g, coeff))
+                            table.setdefault((a, c), {}).setdefault(k, []).append((b, u, v, coeff))
             self._splits = table
         return self._splits
 
@@ -126,9 +118,10 @@ class FiniteLinearCategory:
         for a in self.objects:
             for b in self.objects:
                 for x in range(self.dim(a, b)):
-                    left = self.diag_vec(a, a, b, self.identity_vector(a), basis_vec(x, f))
-                    right = self.diag_vec(a, b, b, basis_vec(x, f), self.identity_vector(b))
-                    if vclean(left) != {x: f.one} or vclean(right) != {x: f.one}:
+                    ex = basis_vec(x, f)
+                    left = multilinear(partial(self.diag, a, a, b), [self.identity_vector(a), ex])
+                    right = multilinear(partial(self.diag, a, b, b), [ex, self.identity_vector(b)])
+                    if left != {x: f.one} or right != {x: f.one}:
                         raise PreconditionViolation(
                             f"identity law fails on basis element {x} of hom({a!r},{b!r})"
                         )
@@ -185,19 +178,12 @@ class Algebra:
     def product(self, i: int, j: int) -> Vec:
         return self.mult.get((i, j), {})
 
-    def product_vec(self, v: Vec, w: Vec) -> Vec:
-        out: Vec = {}
-        for i, ci in v.items():
-            for j, cj in w.items():
-                vadd(out, self.product(i, j), ci * cj)
-        return out
-
     def validate(self) -> None:
         f = self.field
         for i in range(self.dim):
-            if vclean(self.product_vec(self.unit, basis_vec(i, f))) != {i: f.one}:
+            if multilinear(self.product, [self.unit, basis_vec(i, f)]) != {i: f.one}:
                 raise PreconditionViolation(f"left unit law fails on basis element {i}")
-            if vclean(self.product_vec(basis_vec(i, f), self.unit)) != {i: f.one}:
+            if multilinear(self.product, [basis_vec(i, f), self.unit]) != {i: f.one}:
                 raise PreconditionViolation(f"right unit law fails on basis element {i}")
         d, mult = self.dim, self.product
         bad = _first_nonassociative(d, d, d, mult, mult, mult, mult)
@@ -226,41 +212,11 @@ class CentralBimodule:
     def ract(self, a, b, c, m: int, x: int) -> Vec:
         return self.right.get((a, b, c), {}).get((m, x), {})
 
-    def lact_vec(self, a, b, c, xv: Vec, mv: Vec) -> Vec:
-        out: Vec = {}
-        for x, cx in xv.items():
-            for m, cm in mv.items():
-                vadd(out, self.lact(a, b, c, x, m), cx * cm)
-        return out
-
-    def ract_vec(self, a, b, c, mv: Vec, xv: Vec) -> Vec:
-        out: Vec = {}
-        for m, cm in mv.items():
-            for x, cx in xv.items():
-                vadd(out, self.ract(a, b, c, m, x), cm * cx)
-        return out
-
     @classmethod
     def regular(cls, cat: FiniteLinearCategory) -> "CentralBimodule":
         """The category acting on itself: both actions are composition."""
-        left: Dict = {}
-        right: Dict = {}
-        for a in cat.objects:
-            for b in cat.objects:
-                for c in cat.objects:
-                    dab, dbc = cat.dim(a, b), cat.dim(b, c)
-                    if not dab or not dbc:
-                        continue
-                    for x in range(dab):
-                        for m in range(dbc):
-                            v = cat.diag(a, b, c, x, m)
-                            if v:
-                                left.setdefault((a, b, c), {})[(x, m)] = dict(v)
-                    for m in range(dab):
-                        for x in range(dbc):
-                            v = cat.diag(a, b, c, m, x)
-                            if v:
-                                right.setdefault((a, b, c), {})[(m, x)] = dict(v)
+        left, right = ({key: {pair: dict(vec) for pair, vec in pairs.items() if vec}
+                        for key, pairs in cat.compose.items()} for _ in range(2))
         return cls(cat, dict(cat.dims), left, right)
 
     def validate(self) -> None:
@@ -275,9 +231,10 @@ class CentralBimodule:
                             f"M({a!r},{b!r}) is nonzero but object {x!r} has no identity"
                         )
                 for m in range(self.dim(a, b)):
-                    lv = self.lact_vec(a, a, b, cat.identity_vector(a), basis_vec(m, f))
-                    rv = self.ract_vec(a, b, b, basis_vec(m, f), cat.identity_vector(b))
-                    if vclean(lv) != {m: f.one} or vclean(rv) != {m: f.one}:
+                    em = basis_vec(m, f)
+                    lv = multilinear(partial(self.lact, a, a, b), [cat.identity_vector(a), em])
+                    rv = multilinear(partial(self.ract, a, b, b), [em, cat.identity_vector(b)])
+                    if lv != {m: f.one} or rv != {m: f.one}:
                         raise PreconditionViolation(
                             f"unit action fails on M({a!r},{b!r}) basis element {m}"
                         )
@@ -312,19 +269,13 @@ class LinearFunctor:
     def apply(self, a, b, idx: int) -> Vec:
         return self.maps.get((a, b), [{}] * self.source.dim(a, b))[idx]
 
-    def apply_vec(self, a, b, vec: Vec) -> Vec:
-        out: Vec = {}
-        for idx, c in vec.items():
-            vadd(out, self.apply(a, b, idx), c)
-        return out
-
     def validate(self) -> None:
         src, tgt = self.source, self.target
         for a in src.objects:
             if src.dim(a, a):
                 fa = self.obj_map[a]
-                img = self.apply_vec(a, a, src.identity_vector(a))
-                if vclean(img) != vclean(tgt.identity_vector(fa)):
+                img = multilinear(partial(self.apply, a, a), [src.identity_vector(a)])
+                if img != vclean(tgt.identity_vector(fa)):
                     raise PreconditionViolation(f"functor does not preserve the identity of {a!r}")
         for a in src.objects:
             for b in src.objects:
@@ -334,9 +285,10 @@ class LinearFunctor:
                     fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
                     for x in range(src.dim(a, b)):
                         for y in range(src.dim(b, c)):
-                            lhs = self.apply_vec(a, c, src.diag(a, b, c, x, y))
-                            rhs = tgt.diag_vec(fa, fb, fc, self.apply(a, b, x), self.apply(b, c, y))
-                            if vclean(lhs) != vclean(rhs):
+                            lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
+                            rhs = multilinear(partial(tgt.diag, fa, fb, fc),
+                                              [self.apply(a, b, x), self.apply(b, c, y)])
+                            if lhs != rhs:
                                 raise PreconditionViolation(
                                     f"functor does not preserve composition on ({x},{y}) "
                                     f"in hom({a!r},{b!r}) x hom({b!r},{c!r})"
@@ -363,14 +315,15 @@ def restricted_bimodule(F: LinearFunctor, M: CentralBimodule) -> CentralBimodule
                     for x in range(dab):
                         fx = F.apply(a, b, x)
                         for m in range(M.dim(fb, fc)):
-                            v = M.lact_vec(fa, fb, fc, fx, basis_vec(m, src.field))
+                            v = multilinear(partial(M.lact, fa, fb, fc), [fx, basis_vec(m, src.field)])
                             if v:
                                 left.setdefault((a, b, c), {})[(x, m)] = v
                 dbc = src.dim(b, c)
                 if dbc and M.dim(fa, fb):
                     for m in range(M.dim(fa, fb)):
                         for x in range(dbc):
-                            v = M.ract_vec(fa, fb, fc, basis_vec(m, src.field), F.apply(b, c, x))
+                            v = multilinear(partial(M.ract, fa, fb, fc),
+                                            [basis_vec(m, src.field), F.apply(b, c, x)])
                             if v:
                                 right.setdefault((a, b, c), {})[(m, x)] = v
     return CentralBimodule(src, dims, left, right)
@@ -395,7 +348,7 @@ def _gamma_products(gamma: Algebra, s: int) -> List[Tuple[Tuple[int, ...], Vec]]
     products = [((), gamma.unit)]
     for _ in range(s):
         products = [(gs + (g,), p) for gs, prod in products for g in range(gamma.dim)
-                    if (p := gamma.product_vec(prod, basis_vec(g, gamma.field)))]
+                    if (p := multilinear(gamma.product, [prod, basis_vec(g, gamma.field)]))]
     return products
 
 
@@ -411,18 +364,21 @@ def _lift(args: Tuple[int, ...], vec: Vec, products, gdim: int):
             yield tuple(pair_index(h, g, gdim) for h, g in zip(args, gs)), out
 
 
+def _lift_tables(gamma: Algebra, *tables) -> List[Dict]:
+    """Each binary product table ``key -> {(x, y): Vec}`` lifted along ``- (x) gamma``."""
+    products = _gamma_products(gamma, 2)
+    return [{key: {lifted: out for args, vec in pairs.items()
+                   for lifted, out in _lift(args, vec, products, gamma.dim)}
+             for key, pairs in table.items()}
+            for table in tables]
+
+
 def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCategory:
     """Hom spaces tensored with an algebra; products multiply coefficients
     in argument (diagram) order."""
     gd = gamma.dim
     dims = {k: v * gd for k, v in cat.dims.items()}
-    products = _gamma_products(gamma, 2)
-    # compose keys are in function order, the lift's arguments in diagram order
-    compose = {
-        key: {(g, f): out for (g0, f0), vec in pairs.items()
-              for (f, g), out in _lift((f0, g0), vec, products, gd)}
-        for key, pairs in cat.compose.items()
-    }
+    (compose,) = _lift_tables(gamma, cat.compose)
     identities = {
         a: tensor_vec(cat.identity_vector(a), gamma.unit, gd)
         for a in cat.objects
@@ -432,13 +388,6 @@ def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCa
 
 
 def tensor_bimodule(M: CentralBimodule, gamma: Algebra, tcat: FiniteLinearCategory) -> CentralBimodule:
-    gd = gamma.dim
-    dims = {k: v * gd for k, v in M.dims.items()}
-    products = _gamma_products(gamma, 2)
-    left, right = (
-        {key: {lifted: out for args, vec in pairs.items()
-               for lifted, out in _lift(args, vec, products, gd)}
-         for key, pairs in table.items()}
-        for table in (M.left, M.right)
-    )
+    dims = {k: v * gamma.dim for k, v in M.dims.items()}
+    left, right = _lift_tables(gamma, M.left, M.right)
     return CentralBimodule(tcat, dims, left, right)

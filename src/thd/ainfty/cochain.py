@@ -26,6 +26,7 @@ has the cohomology of the full bar complex.  :func:`hh_dimensions` and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PreconditionViolation
@@ -80,7 +81,7 @@ class Cochain:
 
     def evaluate(self, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
         """Multilinear evaluation on arrow vectors (not just basis arrows)."""
-        return multilinear(self.data, chain, arg_vecs, self.cat.field.one)
+        return multilinear(lambda *args: self.data.get((chain, args), {}), arg_vecs)
 
     def is_zero(self) -> bool:
         return not any(self.data.values())
@@ -298,9 +299,9 @@ def identity_basis_change(cat: FiniteLinearCategory, mod: CentralBimodule):
     for a, b, c in cat.compose:
         for x in range(cat.dim(a, b)):
             for y in range(cat.dim(b, c)):
-                v = into_f.apply_vec(a, c, cat.diag_vec(a, b, c, back[(a, b)][x], back[(b, c)][y]))
-                if v:
-                    copy.compose.setdefault((a, b, c), {})[(y, x)] = v
+                xy = multilinear(partial(cat.diag, a, b, c), [back[(a, b)][x], back[(b, c)][y]])
+                if v := multilinear(partial(into_f.apply, a, c), [xy]):
+                    copy.compose.setdefault((a, b, c), {})[(x, y)] = v
     return copy, restricted_bimodule(back_f, mod), into_f, back_f
 
 

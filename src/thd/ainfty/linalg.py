@@ -30,15 +30,17 @@ def vadd(target: Vec, vec: Vec, scale) -> None:
             del target[k]
 
 
-def multilinear(table: Dict, chain, arg_vecs: Sequence[Vec], one) -> Vec:
-    """Evaluate the sparse multilinear map ``args -> table[(chain, args)]`` on vectors."""
+def multilinear(product, arg_vecs: Sequence[Vec]) -> Vec:
+    """Extend ``product``, basis indices -> Vec, multilinearly to the vectors ``arg_vecs``."""
+    if not arg_vecs:
+        return {k: c for k, c in product().items() if c}
     out: Vec = {}
     for picks in itertools.product(*(vec.items() for vec in arg_vecs)):
-        scale = one
-        for _, c in picks:
+        scale = picks[0][1]
+        for _, c in picks[1:]:
             scale = scale * c
         if scale:
-            vadd(out, table.get((chain, tuple(i for i, _ in picks)), {}), scale)
+            vadd(out, product(*(i for i, _ in picks)), scale)
     return out
 
 

@@ -13,7 +13,10 @@ A ``compose a b c OUT IN1 IN2 COEFF`` record contributes
 ``COEFF * e_OUT`` (in ``hom(a,c)``) to the composition of ``IN1`` (a basis
 arrow in ``hom(b,c)``) after ``IN2`` (a basis arrow in ``hom(a,b)``); this
 is the function-order composition ``hom(b,c) x hom(a,b) -> hom(a,c)``.
-Coefficients are integers or rationals ``p/q``.
+This module is the only place that knows function order: in memory, the
+composition table is keyed in diagram order, ``(IN2, IN1)``.
+Coefficients are integers or rationals ``p/q``.  Every index must lie in the
+range of its hom space and every object must be declared.
 
 Cochain files carry one degree line and component records::
 
@@ -44,11 +47,20 @@ def _tokens(text: str):
             yield lineno, line.split()
 
 
+def _require_index(objects, dims, lineno: int, idx: int, a, b) -> None:
+    """Refuse an undeclared object or an index outside ``hom(a, b)``."""
+    for obj in (a, b):
+        if obj not in objects:
+            raise FormatError(f"line {lineno}: undeclared object {obj!r}")
+    if not 0 <= idx < dims.get((a, b), 0):
+        raise FormatError(f"line {lineno}: index {idx} out of range for hom({a!r},{b!r})")
+
+
 def parse_category(text: str) -> FiniteLinearCategory:
     field = QQ
     objects: List[str] = []
     dims: Dict = {}
-    compose: Dict = {}
+    records: List = []  # (lineno, a, b, c, out, in1, in2, coeff)
     explicit_ids: Dict = {}
     for lineno, tok in _tokens(text):
         kind = tok[0]
@@ -59,16 +71,13 @@ def parse_category(text: str) -> FiniteLinearCategory:
                 objects.extend(tok[1:])
             elif kind == "hom":
                 a, b, d = tok[1], tok[2], int(tok[3])
+                if d < 0:
+                    raise FormatError(f"line {lineno}: negative dimension {d} for hom({a!r},{b!r})")
                 dims[(a, b)] = d
             elif kind == "id":
-                explicit_ids[tok[1]] = int(tok[2])
+                explicit_ids[tok[1]] = (lineno, int(tok[2]))
             elif kind == "compose":
-                a, b, c = tok[1], tok[2], tok[3]
-                out, in1, in2 = int(tok[4]), int(tok[5]), int(tok[6])
-                coeff = field.of(tok[7])
-                table = compose.setdefault((a, b, c), {})
-                vec = table.setdefault((in1, in2), {})
-                vec[out] = vec.get(out, field.zero) + coeff
+                records.append((lineno, *tok[1:4], *map(int, tok[4:7]), field.of(tok[7])))
             else:
                 raise FormatError(f"line {lineno}: unknown record {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -78,13 +87,21 @@ def parse_category(text: str) -> FiniteLinearCategory:
     for (a, b) in dims:
         if a not in objects or b not in objects:
             raise FormatError(f"hom record references undeclared object in ({a!r}, {b!r})")
+    compose: Dict = {}
+    for lineno, a, b, c, out, in1, in2, coeff in records:
+        for idx, src, tgt in ((in2, a, b), (in1, b, c), (out, a, c)):
+            _require_index(objects, dims, lineno, idx, src, tgt)
+        vec = compose.setdefault((a, b, c), {}).setdefault((in2, in1), {})
+        vec[out] = vec.get(out, field.zero) + coeff
+    for a, (lineno, idx) in explicit_ids.items():
+        _require_index(objects, dims, lineno, idx, a, a)
     compose = {
         key: {pair: vclean(vec) for pair, vec in table.items() if vclean(vec)}
         for key, table in compose.items()
     }
     compose = {key: table for key, table in compose.items() if table}
     if explicit_ids:
-        identities = {a: {idx: field.one} for a, idx in explicit_ids.items()}
+        identities = {a: {idx: field.one} for a, (_, idx) in explicit_ids.items()}
         missing = [a for a in objects if dims.get((a, a)) and a not in identities]
         if missing:
             solved = solve_identities(field, objects, dims, compose)
@@ -128,11 +145,16 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
             raise FormatError(f"line {lineno}: {exc}") from exc
     if degree is None:
         raise FormatError("no cochain degree declared")
-    for (chain, args) in data:
+    for (chain, args), vec in data.items():
         for k in range(degree):
-            if args[k] >= cat.dim(chain[k], chain[k + 1]):
+            if not 0 <= args[k] < cat.dim(chain[k], chain[k + 1]):
                 raise FormatError(
                     f"argument index {args[k]} out of range for hom({chain[k]!r},{chain[k+1]!r})"
+                )
+        for target in vec:
+            if not 0 <= target < mod.dim(chain[0], chain[-1]):
+                raise FormatError(
+                    f"target index {target} out of range for M({chain[0]!r},{chain[-1]!r})"
                 )
     return Cochain(cat, mod, degree, data)
 
@@ -147,7 +169,7 @@ def format_category(cat: FiniteLinearCategory) -> str:
         if idx is not None:
             lines.append(f"id {a} {idx}")
     for (a, b, c), table in sorted(cat.compose.items(), key=repr):
-        for (g, f), vec in sorted(table.items()):
+        for (g, f), vec in sorted(((y, x), vec) for (x, y), vec in table.items()):
             for out, coeff in sorted(vec.items()):
                 lines.append(f"compose {a} {b} {c} {out} {g} {f} {coeff}")
     return "\n".join(lines) + "\n"

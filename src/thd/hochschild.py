@@ -94,7 +94,11 @@ def _hh_push(n: int, d: int, p: int, m: int) -> int:
 
 
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
-    """``dim HH^m(P^{n+1}, f_* O_X(p))`` as a column sum of pullback dimensions."""
+    """``dim HH^m(P^{n+1}, f_* O_X(p))`` as a column sum of pullback dimensions.
+
+    Requires ``t - p`` outside ``{0, d}``, as :func:`kernel_dim` does.
+    """
+    _require_nondegenerate_twist(X, p)
     return _hh_push(X.n, X.d, p, m)
 
 
@@ -194,7 +198,7 @@ def les_ledger(X: Hypersurface, p: int) -> ExactSequenceLedger:
     for i in range(0, 2 * n + 3):
         terms.append(("A", i, hh_dim_on_X(X, p + d, i - 2)))
         terms.append(("B", i, hh_dim_on_X(X, p, i)))
-        terms.append(("C", i, hh_dim_pushforward(X, p, i)))
+        terms.append(("C", i, _hh_push(n, d, p, i)))  # the twist is checked above
     ranks = propagate_ranks([dim for (_, _, dim) in terms])
     kernels: Dict[int, int] = {}
     for k, (label, i, _) in enumerate(terms):

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List, Union
 
 from .hodge import TwistedHodgeDiamond
 
@@ -19,7 +19,7 @@ from .hodge import TwistedHodgeDiamond
 class OutputDocument:
     kind: str
     payload: Dict
-    pretty: str = field(default="", repr=False)
+    pretty: Union[str, Callable[[], str]] = field(default="", repr=False)  # a callable renders lazily
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, **self.payload}, indent=2)
@@ -40,7 +40,7 @@ class OutputDocument:
             return self.to_json()
         if fmt == "csv":
             return self.to_csv()
-        return self.pretty
+        return self.pretty() if callable(self.pretty) else self.pretty
 
 
 def render_diamond(dd: TwistedHodgeDiamond) -> str:
@@ -76,7 +76,7 @@ def diamond_document(dd: TwistedHodgeDiamond) -> OutputDocument:
     for (i, j, value) in dd.nonzero_entries():
         entries.append([str(i), str(j), str(value)])
     payload = {"n": str(X.n), "d": str(X.d), "twist": str(dd.twist), "entries": entries}
-    return OutputDocument("diamond", payload, render_diamond(dd))
+    return OutputDocument("diamond", payload, lambda: render_diamond(dd))
 
 
 def table_pretty(header: List[str], rows: List[List[str]]) -> str:

@@ -14,7 +14,7 @@ can only ever drop below the rational rank, which would surface as a test
 failure, never as a silent pass.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -30,7 +30,7 @@ from thd import (
 from thd.ainfty import Budget, Cochain, StasheffReport
 from thd.ainfty.category import basis_vec, vclean
 from thd.ainfty.cochain import _differential_columns
-from thd.ainfty.linalg import exact_rank, vadd
+from thd.ainfty.linalg import exact_rank, multilinear, vadd
 from thd.ainfty.structure import _check_unitality
 from thd.combinatorics import binom
 
@@ -319,10 +319,12 @@ def per_key_hochschild_differential(f, budget=None):
             (b,) = chain0
             for a in cat.objects:
                 for x in range(cat.dim(a, b)):
-                    add((a, b), (x,), mod.lact_vec(a, b, b, basis_vec(x, cat.field), vec), one)
+                    add((a, b), (x,),
+                        multilinear(partial(mod.lact, a, b, b), [basis_vec(x, cat.field), vec]), one)
             for c in cat.objects:
                 for x in range(cat.dim(b, c)):
-                    add((b, c), (x,), mod.ract_vec(b, b, c, vec, basis_vec(x, cat.field)), minus)
+                    add((b, c), (x,),
+                        multilinear(partial(mod.ract, b, b, c), [vec, basis_vec(x, cat.field)]), minus)
         return Cochain(cat, mod, 1, out)
 
     splits = cat.splits()
@@ -331,7 +333,7 @@ def per_key_hochschild_differential(f, budget=None):
         for a in cat.objects:
             for x in range(cat.dim(a, x0)):
                 add((a,) + chain, (x,) + args,
-                    mod.lact_vec(a, x0, xn, basis_vec(x, cat.field), vec), one)
+                    multilinear(partial(mod.lact, a, x0, xn), [basis_vec(x, cat.field), vec]), one)
         for i in range(n):
             a, c = chain[i], chain[i + 1]
             for (b, u, v, coeff) in splits.get((a, c), {}).get(args[i], ()):
@@ -343,7 +345,7 @@ def per_key_hochschild_differential(f, budget=None):
         for c in cat.objects:
             for x in range(cat.dim(xn, c)):
                 add(chain + (c,), args + (x,),
-                    mod.ract_vec(x0, xn, c, vec, basis_vec(x, cat.field)), s_sign)
+                    multilinear(partial(mod.ract, x0, xn, c), [vec, basis_vec(x, cat.field)]), s_sign)
     return Cochain(cat, mod, n + 1, out)
 
 

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from thd.ainfty import (
     tensor_with_algebra,
     verify_stasheff,
 )
+from thd.ainfty.category import vclean
 from thd.ainfty.examples import (
     a2_path_category,
     a2_to_a1_quotient,
@@ -90,7 +92,7 @@ def test_category_validate_reports_the_first_nonassociative_triple():
     cat = tensor_with_algebra(dual_numbers(), matrix_algebra())
     compose = copy.deepcopy(cat.compose)
     # (1 (x) E01) then (1 (x) E10) should be 1 (x) E00; make it zero
-    compose[("*", "*", "*")][(2, 1)] = {}
+    compose[("*", "*", "*")][(1, 2)] = {}
     broken = FiniteLinearCategory(QQ, cat.objects, cat.dims, compose, cat.identities)
     assert _validate_message(broken) == "associativity fails at ('*','*','*','*') on basis (1,2,1)"
 
@@ -365,6 +367,27 @@ def test_random_cocycles_pass_noncocycles_fail():
     assert failures
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("base", [dual_numbers, a2_path_category], ids=["dual", "a2"])
+def test_deformed_m2_is_composition_and_the_actions_block_by_block(base, field):
+    cat = tensor_with_algebra(base(field), matrix_algebra(field))
+    mod = regular(cat)
+    A = deform(cat, mod, Cochain(cat, mod, 3, {}))
+    for a, b, c in itertools.product(cat.objects, repeat=3):
+        dx_ab, dx_bc, dx_ac = cat.dim(a, b), cat.dim(b, c), cat.dim(a, c)
+        for i in range(A.dim(a, b)):
+            for j in range(A.dim(b, c)):
+                if i < dx_ab and j < dx_bc:
+                    want = cat.diag(a, b, c, i, j)
+                elif i < dx_ab:
+                    want = {dx_ac + m: v for m, v in mod.lact(a, b, c, i, j - dx_bc).items()}
+                elif j < dx_bc:
+                    want = {dx_ac + m: v for m, v in mod.ract(a, b, c, i - dx_ab, j).items()}
+                else:
+                    want = {}  # the bimodule squares to zero
+                assert A.apply(2, (a, b, c), (i, j)) == vclean(want), (a, b, c, i, j)
+
+
 def test_deformed_projection_datum():
     cat = a2_path_category()
     mod = regular(cat)
@@ -493,6 +516,17 @@ def test_restrict_through_zero_hom_kills_cochains():
     G.validate()
     eta = square_zero_cocycle()
     assert restrict_along_functor(G, eta).is_zero()
+
+
+def test_restrict_a_degree_zero_cochain_along_the_quotient():
+    # a degree-0 cochain is evaluated on no arguments at all
+    F = a2_to_a1_quotient()
+    k = F.target
+    eta = Cochain(k, regular(k), 0, {(("*",), ()): {0: QQ.of(3)}})
+    got = restrict_along_functor(F, eta)
+    assert got.degree == 0 and got.cat is F.source
+    assert got.data == {(("1",), ()): {0: QQ.of(3)}, (("2",), ()): {0: QQ.of(3)}}
+    assert hochschild_differential(got) == restrict_along_functor(F, hochschild_differential(eta))
 
 
 def test_restriction_commutes_with_differential():

@@ -7,6 +7,8 @@ inverse functors; its cocycles, pulled back, are normalized closed cochains
 in the given basis.
 """
 
+from functools import partial
+
 import pytest
 
 from oracles import bar_hh_dimensions, identities_are_basis_vectors, is_normalized
@@ -23,7 +25,7 @@ from thd.ainfty import (
 )
 from thd.ainfty.cochain import identity_basis_change
 from thd.ainfty.examples import dual_numbers, matrix_algebra
-from thd.ainfty.linalg import exact_rank
+from thd.ainfty.linalg import exact_rank, multilinear
 from thd.errors import PreconditionViolation
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
@@ -55,8 +57,8 @@ def test_swapped_category_is_isomorphic_with_identities_in_the_basis(name, degre
     assert back.source is swapped and back.target is cat
     for (a, b), dim in cat.dims.items():
         for x in range(dim):
-            assert back.apply_vec(a, b, into.apply(a, b, x)) == {x: field.one}
-            assert into.apply_vec(a, b, back.apply(a, b, x)) == {x: field.one}
+            assert multilinear(partial(back.apply, a, b), [into.apply(a, b, x)]) == {x: field.one}
+            assert multilinear(partial(into.apply, a, b), [back.apply(a, b, x)]) == {x: field.one}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

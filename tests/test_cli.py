@@ -6,9 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from thd import Hypersurface, diamond, kernel_dim
-from thd.ainfty import format_category, format_cochain, parse_category, parse_cochain
-from thd.ainfty.examples import dual_numbers, square_zero_cocycle
+import thd.output
+from thd import Hypersurface, diamond, hh_dim_pushforward, kernel_dim
+from thd.ainfty import (
+    FormatError,
+    format_category,
+    format_cochain,
+    parse_category,
+    parse_cochain,
+    tensor_with_algebra,
+)
+from thd.ainfty.examples import a2_path_category, dual_numbers, matrix_algebra, square_zero_cocycle
 from thd.cli import main
 from thd.errors import PreconditionViolation
 
@@ -167,6 +175,29 @@ def test_pushforward_command(capsys):
     assert dims[0] == 0
 
 
+@pytest.mark.parametrize("n,d,p,m", [(2, 1, -4, 4), (2, 1, -3, 1), (2, 2, -4, 4), (2, 2, -2, 1)])
+def test_pushforward_refuses_degenerate_twists(capsys, n, d, p, m):
+    # at t - p in {0, d} the column sum drops Kronecker-delta corrections
+    # and gave dim HH^m = -1 at each of these
+    with pytest.raises(PreconditionViolation, match="t - p"):
+        hh_dim_pushforward(Hypersurface(n, d), p, m)
+    code, out, err = run(capsys, "pushforward", "--n", str(n), "--d", str(d), "--p", str(p))
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "t - p" in err
+
+
+def test_json_and_csv_never_render_the_pretty_diamond(monkeypatch):
+    def refuse(dd):
+        raise AssertionError("the pretty grid was rendered")
+
+    monkeypatch.setattr(thd.output, "render_diamond", refuse)
+    doc = thd.output.diamond_document(diamond(Hypersurface(5, 7), 8))
+    assert json.loads(doc.render("json"))["entries"][0] == ["i", "j", "value"]
+    assert doc.render("csv").startswith("n,5\n")
+    with pytest.raises(AssertionError, match="pretty grid"):
+        doc.render("pretty")
+
+
 def test_search(capsys):
     code, out, _ = run(capsys, "search", "--n", "5..5", "--d", "7..7", "--p", "-8..-8",
                        "--format", "json")
@@ -305,6 +336,15 @@ def test_format_round_trip():
     assert eta2.data == eta.data
 
 
+def test_format_round_trip_of_a2_times_m2():
+    # several objects and products that are not all symmetric in their arguments
+    cat = tensor_with_algebra(a2_path_category(), matrix_algebra())
+    text = format_category(cat)
+    cat2 = parse_category(text)
+    assert cat2.dims == cat.dims and cat2.compose == cat.compose
+    assert format_category(cat2) == text
+
+
 def test_parse_errors():
     with pytest.raises(PreconditionViolation):
         parse_category("hom a a 2\n")  # no objects
@@ -390,3 +430,43 @@ def test_negative_budget_is_a_usage_error(capsys):
                          "--budget", "-1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and "budget" in err
+
+
+# Each malformed file used to exit 0 or fail later with a misleading message.
+MALFORMED_CATEGORIES = {
+    "compose-undeclared-object": ("compose a a a 0 0 0 1", "compose a a z 0 0 0 1", "undeclared object 'z'"),
+    "compose-out-out-of-range": ("compose a a a 0 0 0 1", "compose a a a 2 0 0 1", "index 2 out of range"),
+    "compose-in1-out-of-range": ("compose a a a 0 0 0 1", "compose a a a 0 3 0 1", "index 3 out of range"),
+    "compose-in2-out-of-range": ("compose a a a 0 0 0 1", "compose a a a 0 0 -1 1", "index -1 out of range"),
+    "id-undeclared-object": ("id a 0", "id z 0", "undeclared object 'z'"),
+    "id-out-of-range": ("id a 0", "id a 2", "index 2 out of range"),
+    "negative-hom-dimension": ("hom a a 2", "hom a a 2\nhom a b -1", "negative dimension -1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATEGORIES))
+def test_malformed_category_files_are_format_errors(tmp_path, capsys, case):
+    old, new, message = MALFORMED_CATEGORIES[case]
+    text = CATEGORY_TEXT.replace(old, new, 1)
+    assert text != CATEGORY_TEXT
+    with pytest.raises(FormatError, match=message):
+        parse_category(text)
+    cat_file = tmp_path / "cat.txt"
+    cat_file.write_text(text)
+    code, out, err = run(capsys, "ainfty", "hhdim", "--category", str(cat_file))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
+def test_cochain_target_out_of_range_is_a_format_error(tmp_path, capsys):
+    text = COCHAIN_TEXT.replace(": 1 : 1", ": 2 : 1")  # M(a, a) has dimension 2
+    with pytest.raises(FormatError, match="target index 2 out of range"):
+        parse_cochain(text, parse_category(CATEGORY_TEXT))
+    cat_file = tmp_path / "cat.txt"
+    cat_file.write_text(CATEGORY_TEXT)
+    eta_file = tmp_path / "eta.txt"
+    eta_file.write_text(text)
+    code, out, err = run(capsys, "ainfty", "deform", "--category", str(cat_file),
+                         "--cochain", str(eta_file))
+    assert code == 3 and out == ""
+    assert "target index 2 out of range" in err and "not closed" not in err
