@@ -56,6 +56,21 @@ def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r):
     return None
 
 
+def _unit_failure(dims, identities, left, right, field):
+    """The first ``(a, b, i)`` with ``id_a . e_i != e_i`` or ``e_i . id_b != e_i``, else None.
+
+    ``e_i`` runs over the basis of ``dims[(a, b)]``, ``left`` and ``right`` take
+    ``(a, b, c, x, y)`` as ``diag`` does; objects without ``identities`` are skipped.
+    """
+    for (a, b), d in dims.items():
+        for i in range(d):
+            e = {i: field.one}
+            if (a in identities and multilinear(partial(left, a, a, b), [identities[a], e]) != e or
+                    b in identities and multilinear(partial(right, a, b, b), [e, identities[b]]) != e):
+                return a, b, i
+    return None
+
+
 class FiniteLinearCategory:
     """A category with finitely many objects and based finite hom spaces."""
 
@@ -115,16 +130,10 @@ class FiniteLinearCategory:
                 raise PreconditionViolation(f"object {a!r} has arrows but no endomorphisms")
             if self.dim(a, a) and a not in self.identities:
                 raise PreconditionViolation(f"object {a!r} has no identity")
-        for a in self.objects:
-            for b in self.objects:
-                for x in range(self.dim(a, b)):
-                    ex = basis_vec(x, f)
-                    left = multilinear(partial(self.diag, a, a, b), [self.identity_vector(a), ex])
-                    right = multilinear(partial(self.diag, a, b, b), [ex, self.identity_vector(b)])
-                    if left != {x: f.one} or right != {x: f.one}:
-                        raise PreconditionViolation(
-                            f"identity law fails on basis element {x} of hom({a!r},{b!r})"
-                        )
+        bad = _unit_failure(self.dims, self.identities, self.diag, self.diag, f)
+        if bad:
+            raise PreconditionViolation("identity law fails on basis element {2} of hom({0!r},{1!r})"
+                                        .format(*bad))
         for a, b, c, e in itertools.product(self.objects, repeat=4):
             bad = _first_nonassociative(
                 self.dim(a, b), self.dim(b, c), self.dim(c, e),
@@ -221,23 +230,15 @@ class CentralBimodule:
 
     def validate(self) -> None:
         cat, f = self.cat, self.field
-        for a in cat.objects:
-            for b in cat.objects:
-                if not self.dim(a, b):
-                    continue
-                for x in (a, b):
-                    if x not in cat.identities:
-                        raise PreconditionViolation(
-                            f"M({a!r},{b!r}) is nonzero but object {x!r} has no identity"
-                        )
-                for m in range(self.dim(a, b)):
-                    em = basis_vec(m, f)
-                    lv = multilinear(partial(self.lact, a, a, b), [cat.identity_vector(a), em])
-                    rv = multilinear(partial(self.ract, a, b, b), [em, cat.identity_vector(b)])
-                    if lv != {m: f.one} or rv != {m: f.one}:
-                        raise PreconditionViolation(
-                            f"unit action fails on M({a!r},{b!r}) basis element {m}"
-                        )
+        for a, b in self.dims:
+            for x in (a, b):
+                if x not in cat.identities:
+                    raise PreconditionViolation(
+                        f"M({a!r},{b!r}) is nonzero but object {x!r} has no identity"
+                    )
+        bad = _unit_failure(self.dims, cat.identities, self.lact, self.ract, f)
+        if bad:
+            raise PreconditionViolation("unit action fails on M({!r},{!r}) basis element {}".format(*bad))
         for a, b, c, e in itertools.product(cat.objects, repeat=4):
             at = f"({a!r},{b!r},{c!r},{e!r})"
             # (x . m) . y = x . (m . y)
@@ -277,55 +278,38 @@ class LinearFunctor:
                 img = multilinear(partial(self.apply, a, a), [src.identity_vector(a)])
                 if img != vclean(tgt.identity_vector(fa)):
                     raise PreconditionViolation(f"functor does not preserve the identity of {a!r}")
-        for a in src.objects:
-            for b in src.objects:
-                for c in src.objects:
-                    if not (src.dim(a, b) and src.dim(b, c)):
-                        continue
-                    fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
-                    for x in range(src.dim(a, b)):
-                        for y in range(src.dim(b, c)):
-                            lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
-                            rhs = multilinear(partial(tgt.diag, fa, fb, fc),
-                                              [self.apply(a, b, x), self.apply(b, c, y)])
-                            if lhs != rhs:
-                                raise PreconditionViolation(
-                                    f"functor does not preserve composition on ({x},{y}) "
-                                    f"in hom({a!r},{b!r}) x hom({b!r},{c!r})"
-                                )
+        for a, b, c in itertools.product(src.objects, repeat=3):
+            if not (src.dim(a, b) and src.dim(b, c)):
+                continue
+            fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
+            for x in range(src.dim(a, b)):
+                for y in range(src.dim(b, c)):
+                    lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
+                    rhs = multilinear(partial(tgt.diag, fa, fb, fc),
+                                      [self.apply(a, b, x), self.apply(b, c, y)])
+                    if lhs != rhs:
+                        raise PreconditionViolation(
+                            f"functor does not preserve composition on ({x},{y}) "
+                            f"in hom({a!r},{b!r}) x hom({b!r},{c!r})"
+                        )
 
 
 def restricted_bimodule(F: LinearFunctor, M: CentralBimodule) -> CentralBimodule:
     """Pull a bimodule on the target category back along a functor."""
-    src = F.source
-    dims = {}
-    for a in src.objects:
-        for b in src.objects:
-            d = M.dim(F.obj_map[a], F.obj_map[b])
-            if d:
-                dims[(a, b)] = d
+    src, om, one = F.source, F.obj_map, F.source.field.one
+    dims = {(a, b): d for a in src.objects for b in src.objects if (d := M.dim(om[a], om[b]))}
     left: Dict = {}
     right: Dict = {}
-    for a in src.objects:
-        for b in src.objects:
-            for c in src.objects:
-                fa, fb, fc = F.obj_map[a], F.obj_map[b], F.obj_map[c]
-                dab = src.dim(a, b)
-                if dab and M.dim(fb, fc):
-                    for x in range(dab):
-                        fx = F.apply(a, b, x)
-                        for m in range(M.dim(fb, fc)):
-                            v = multilinear(partial(M.lact, fa, fb, fc), [fx, basis_vec(m, src.field)])
-                            if v:
-                                left.setdefault((a, b, c), {})[(x, m)] = v
-                dbc = src.dim(b, c)
-                if dbc and M.dim(fa, fb):
-                    for m in range(M.dim(fa, fb)):
-                        for x in range(dbc):
-                            v = multilinear(partial(M.ract, fa, fb, fc),
-                                            [basis_vec(m, src.field), F.apply(b, c, x)])
-                            if v:
-                                right.setdefault((a, b, c), {})[(m, x)] = v
+    for a, b, c in itertools.product(src.objects, repeat=3):
+        fa, fb, fc = om[a], om[b], om[c]
+        for x in range(src.dim(a, b)):
+            for m in range(M.dim(fb, fc)):
+                if v := multilinear(partial(M.lact, fa, fb, fc), [F.apply(a, b, x), {m: one}]):
+                    left.setdefault((a, b, c), {})[(x, m)] = v
+        for m in range(M.dim(fa, fb)):
+            for x in range(src.dim(b, c)):
+                if v := multilinear(partial(M.ract, fa, fb, fc), [{m: one}, F.apply(b, c, x)]):
+                    right.setdefault((a, b, c), {})[(m, x)] = v
     return CentralBimodule(src, dims, left, right)
 
 

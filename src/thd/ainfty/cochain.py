@@ -16,12 +16,15 @@ from which :func:`differential_terms` emits the terms of ``d`` on one basis
 key ``(chain, args, m)``: a prefix term per entry of the left action on
 ``e_m``, a merge term per pair of arrows whose product hits an argument, a
 suffix term per entry of the right action.  The matrix of ``d`` sums them into
-raw sparse columns, and :func:`hochschild_differential` is their linear extension.
+sparse columns that :mod:`.linalg` reduces, and :func:`hochschild_differential`
+is their linear extension.
 
 Cochain spaces are enumerated in one model, the normalized subcomplex of
-cochains vanishing on identity arguments, whose keys skip each identity; it
-has the cohomology of the full bar complex.  :func:`hh_dimensions` and
-:func:`cocycle_space` first swap every identity into the basis.
+cochains vanishing on identity arguments (Loday, *Cyclic Homology*, ch. 1),
+whose keys skip each identity; it has the cohomology of the full bar complex.
+:func:`hh_dimensions` and :func:`cocycle_space` swap every identity into the
+basis and leave the terms of an identity out: they land on identity arguments
+and cancel in pairs by the unit laws, which are checked once per call instead.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .category import (
     Vec,
     _gamma_products,
     _lift,
+    _unit_failure,
     restricted_bimodule,
     tensor_bimodule,
     tensor_category,
@@ -111,25 +115,43 @@ class Cochain:
 
 
 def differential_tables(cat: FiniteLinearCategory, mod: CentralBimodule):
+    """The tables of :func:`_tables` with every entry, for the full bar differential."""
+    return _tables(cat, mod, normalized=False)
+
+
+def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     """The structure tensors as raw numbers (:func:`~.linalg.raw`), indexed per basis key.
 
     ``left[(x0, xn, m)]`` lists ``(a, x, [(m', c), ..])`` for each nonzero ``x . e_m``,
     ``right[(x0, xn, m)]`` lists ``(c, x, [(m', c), ..])`` for each nonzero ``e_m . x``,
-    ``splits[(a, c, k)]`` is ``cat.splits()[(a, c)][k]``.  Not cached: tensors can change.
+    ``splits[(a, c, k)]`` is ``(len(pairs), pairs)`` for ``pairs = cat.splits()[(a, c)][k]``.
+    Not cached: tensors can change.  ``normalized`` checks the unit laws and
+    drops the terms of ``id . e_m``, ``e_m . id`` and the splits ``(id, k)``
+    and ``(k, id)``, still counted: an action entry keeps its place.
     """
+    field = cat.field
+    units = {a: cat.id_basis_index(a) for a in cat.objects if normalized and cat.dim(a, a)}
+    ids = {a: {i: field.one} for a, i in units.items()}
+    bad = (_unit_failure(cat.dims, ids, cat.diag, cat.diag, field)
+           or _unit_failure(mod.dims, ids, mod.lact, mod.ract, field))
+    if bad:
+        raise PreconditionViolation("an identity does not act as one on basis element {2} of "
+                                    "({0!r}, {1!r}), so d left the normalized subcomplex".format(*bad))
     def raws(vec):
-        return [(k, raw(cat.field, c)) for k, c in vec.items()]
-    left: Dict = {}
-    right: Dict = {}
+        return [(k, c) for k, c in ((k, raw(field, c)) for k, c in vec.items()) if c]
+    left, right = {}, {}
     for (a, x0, xn), table in mod.left.items():
         for (x, m), vec in table.items():
             if x < cat.dim(a, x0) and any(vec.values()):
-                left.setdefault((x0, xn, m), []).append((a, x, raws(vec)))
+                left.setdefault((x0, xn, m), []).append(
+                    (a, x, [] if (a, x) == (x0, units.get(a)) else raws(vec)))
     for (x0, xn, c), table in mod.right.items():
         for (m, x), vec in table.items():
             if x < cat.dim(xn, c) and any(vec.values()):
-                right.setdefault((x0, xn, m), []).append((c, x, raws(vec)))
-    splits = {(a, c, k): [(b, u, v, raw(cat.field, coeff)) for b, u, v, coeff in pairs]
+                right.setdefault((x0, xn, m), []).append(
+                    (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec)))
+    splits = {(a, c, k): (len(pairs), [(b, u, v, raw(field, coeff)) for b, u, v, coeff in pairs
+                                       if (b, u, v) not in ((a, units.get(a), k), (c, k, units.get(c)))])
               for (a, c), by_k in cat.splits().items() for k, pairs in by_k.items()}
     return left, splits, right
 
@@ -142,18 +164,18 @@ def differential_terms(tables, chain: Tuple, args: Tuple[int, ...], m: int, budg
     action, merge terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix terms
     ``(-1)^{n+1} e_m . x`` from the right action.  A key can occur more than
     once; its terms are to be summed.  Charges ``budget`` once, one unit per
-    nonzero term (an action entry or a split).
+    nonzero term (an action entry or a split), counted as the tables count.
     """
     left, splits, right = tables
     n = len(args)
     prefix, suffix = left.get((chain[0], chain[-1], m), ()), right.get((chain[0], chain[-1], m), ())
-    merges = [splits.get((chain[i], chain[i + 1], args[i]), ()) for i in range(n)]
-    budget.charge(len(prefix) + len(suffix) + sum(map(len, merges)))
+    merges = [splits.get((chain[i], chain[i + 1], args[i]), (0, ())) for i in range(n)]
+    budget.charge(len(prefix) + len(suffix) + sum(count for count, _ in merges))
     for a, x, vec in prefix:
         dchain, dargs = (a,) + chain, (x,) + args
         for mm, c in vec:
             yield dchain, dargs, mm, c
-    for i, pairs in enumerate(merges):
+    for i, (_, pairs) in enumerate(merges):
         for b, u, v, coeff in pairs:
             yield (chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :],
                    m, coeff if i % 2 else -coeff)
@@ -237,31 +259,25 @@ def cochain_basis(
 
 
 def _differential_columns(cat, mod, source, target, budget, tables=None) -> List[Vec]:
-    """Raw sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
+    """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
 
-    Built from ``tables`` (:func:`differential_tables`, compiled here if not
-    given).  Terms on keys outside ``target`` are summed apart.  They cancel,
-    since the normalized subcomplex is closed under ``d``; a nonzero sum
-    means corrupted structure tensors.
+    Built from ``tables``, by default the normalized :func:`_tables`.  An
+    entry is a sum of raw numbers that :mod:`.linalg` reduces: it may be
+    zero or, over F_p, outside ``[0, p)``.  A term outside ``target`` raises.
     """
-    field, tables = cat.field, tables or differential_tables(cat, mod)
+    tables = tables or _tables(cat, mod, normalized=True)
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
     blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
               for pos, (chain, args, m) in enumerate(target) if m == 0}
     columns: List[Vec] = []
     for chain, args, m in source:
         col: Dict = {}
-        stray: Dict = {}
         for dchain, dargs, mm, c in differential_terms(tables, chain, args, m, budget):
-            block = blocks.get((dchain, dargs))
-            if block is not None and mm < block[1]:
-                row, acc = block[0] + mm, col
-            else:
-                row, acc = (dchain, dargs, mm), stray
-            acc[row] = acc.get(row, 0) + c
-        if any(raw(field, c) for c in stray.values()):
-            raise PreconditionViolation("differential left the normalized subcomplex")
-        columns.append({row: v for row, v in ((row, raw(field, c)) for row, c in col.items()) if v})
+            pos, size = blocks.get((dchain, dargs), (0, 0))
+            if mm >= size:
+                raise PreconditionViolation("differential left the normalized subcomplex")
+            col[pos + mm] = col.get(pos + mm, 0) + c
+        columns.append(col)
     return columns
 
 
@@ -315,7 +331,7 @@ def hh_dimensions(
     budget = budget or Budget()
     cat, mod, _, _ = identity_basis_change(cat, mod)
     bases = [cochain_basis(cat, mod, k, budget) for k in range(up_to + 2)]
-    tables = differential_tables(cat, mod)
+    tables = _tables(cat, mod, normalized=True)
     ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], budget, tables),
                         cat.field)
              for k in range(up_to + 1)]

@@ -29,7 +29,7 @@ from thd import (
 )
 from thd.ainfty import Budget, Cochain, StasheffReport
 from thd.ainfty.category import basis_vec, vclean
-from thd.ainfty.cochain import _differential_columns
+from thd.ainfty.cochain import _differential_columns, differential_tables
 from thd.ainfty.linalg import exact_rank, multilinear, vadd
 from thd.ainfty.structure import _check_unitality
 from thd.combinatorics import binom
@@ -422,7 +422,9 @@ def random_bar_cochain(cat, mod, degree, rng):
 def bar_hh_dimensions(cat, mod, up_to):
     """``dim HH^k`` for ``k <= up_to`` by rank-nullity on the full bar complex."""
     bases = [bar_cochain_basis(cat, mod, k) for k in range(up_to + 2)]
-    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], Budget()), cat.field)
+    tables = differential_tables(cat, mod)
+    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], Budget(), tables),
+                        cat.field)
              for k in range(up_to + 1)]
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
 
