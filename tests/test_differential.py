@@ -4,6 +4,8 @@ The oracle is the assembly the library used before it emitted each basis
 key's terms straight from the structure tensors: a one-term cochain per key,
 the whole sparse differential of it, and a lookup of every output under its
 ``(chain, args, m)`` key.  Columns and ``Budget.spent`` must agree exactly.
+The normalized tables leave out exactly the terms on identity arguments, and
+a broken unit law raises before any column is built.
 """
 
 import random
