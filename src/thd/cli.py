@@ -3,7 +3,7 @@
 Subcommands: diamond, hh, pushforward, kernel, search, quadric,
 ainfty {verify|hhdim|deform}.  Exit codes: 0 success, 2 usage error,
 3 precondition failure, 4 internal inconsistency (oracle disagreement),
-5 evaluation budget exceeded.
+5 evaluation budget exceeded; ``EXIT_CODES`` maps each error type to its code.
 """
 
 from __future__ import annotations
@@ -14,47 +14,33 @@ import sys
 from pathlib import Path
 
 from . import ainfty as ai
+from .ainfty.examples import _cat_entry
 from .errors import (BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation,
                      UsageError)
 from .hochschild import (
+    TARGETS,
     candidate_search,
-    guaranteed_kernel_check,
     hochschild_profile,
     kernel_dim,
     kernel_table,
     les_ledger,
+    quadric_family,
 )
 from .hodge import Hypersurface, diamond
-from .output import (
-    ainfty_document,
-    diamond_document,
-    kernel_document,
-    profile_document,
-    quadric_document,
-    search_document,
-    table_pretty,
-)
+from .output import OutputDocument, diamond_document, m_dim_document, search_document, table_pretty
 
 DEFAULT_SEED = 1729
 
-EXIT_USAGE = 2
-EXIT_PRECONDITION = 3
-EXIT_INCONSISTENT = 4
-EXIT_BUDGET = 5
+EXIT_CODES = {UsageError: 2, PreconditionViolation: 3, NotACocycle: 3, ExactnessViolation: 4,
+              BudgetExceeded: 5}
 
 
-def _parse_range(text: str):
+def _parse_range(flag: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return range(value, value + 1)
-    return range(int(lo), int(hi) + 1)
-
-
-def _emit(doc, fmt: str) -> None:
-    sys.stdout.write(doc.render(fmt))
-    if fmt != "csv":
-        sys.stdout.write("\n")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise UsageError(f"{flag} takes a range a..b or a single integer, not {text!r}") from None
 
 
 def _hypersurface(args, parser) -> Hypersurface:
@@ -63,66 +49,64 @@ def _hypersurface(args, parser) -> Hypersurface:
     return Hypersurface(args.n, args.d)
 
 
-def cmd_diamond(args, parser) -> int:
+def cmd_diamond(args, parser) -> OutputDocument:
     X = _hypersurface(args, parser)
-    _emit(diamond_document(diamond(X, args.twist)), args.format)
-    return 0
+    return diamond_document(diamond(X, args.twist))
 
 
-def cmd_hh(args, parser) -> int:
+def _by_degree(args, dims, label: str, where: str, tag: str):
+    """``dims`` and its title, or the one degree ``--m`` and a title stating its value."""
+    if args.m is None:
+        return dims, f"{label}^m, {where}{tag}"
+    value = dims.get(args.m, 0)
+    return {args.m: value}, f"{label}^{args.m} ({where}) = {value}"
+
+
+def cmd_hh(args, parser) -> OutputDocument:
     X = _hypersurface(args, parser)
     profile = hochschild_profile(X, args.p, args.target)
-    if args.m is not None:
-        doc = profile_document(profile)
-        value = profile.dim(args.m)
-        doc.payload["entries"] = [["m", "dim"], [str(args.m), str(value)]]
-        doc.pretty = f"dim HH^{args.m} (target={args.target}, n={X.n} d={X.d} p={args.p}) = {value}"
-        _emit(doc, args.format)
-    else:
-        _emit(profile_document(profile), args.format)
-    return 0
+    where = f"target={args.target}, n={X.n} d={X.d} p={args.p}"
+    dims, title = _by_degree(args, profile.dims, "dim HH", where, "")
+    meta = {"n": X.n, "d": X.d, "p": args.p, "target": args.target}
+    return m_dim_document("profile", meta, dims, title, {})
 
 
-def cmd_kernel(args, parser) -> int:
+def cmd_kernel(args, parser) -> OutputDocument:
     X = _hypersurface(args, parser)
     table = kernel_table(X, args.p)
-    verified = None
+    tag, trailer = "", {}
     if args.verify_les:
         ledger = les_ledger(X, args.p)
         mismatches = {
-            m: (table.get(m, 0), ledger.kernel_of_fstar.get(m, 0))
-            for m in range(0, 2 * X.n + 1)
-            if table.get(m, 0) != ledger.kernel_of_fstar.get(m, 0)
+            m: (dim, ledger.kernel_of_fstar.get(m, 0))
+            for m, dim in table.items() if dim != ledger.kernel_of_fstar.get(m, 0)
         }
         if mismatches:
             raise ExactnessViolation(
                 f"closed form and exact-sequence ledger disagree at {mismatches}"
             )
-        verified = True
-    if args.m is not None:
-        value = kernel_dim(X, args.p, args.m)
-        doc = kernel_document(X, args.p, {args.m: value}, verified)
-        doc.pretty = f"dim ker(f_*) on HH^{args.m} (n={X.n} d={X.d} p={args.p}) = {value}"
-        _emit(doc, args.format)
-    else:
-        _emit(kernel_document(X, args.p, table, verified), args.format)
-    return 0
+        tag, trailer = "  [ledger oracle: agrees]", {"verified_against_ledger": "true"}
+    dims, title = _by_degree(args, table, "dim ker(f_*) on HH", f"n={X.n} d={X.d} p={args.p}", tag)
+    meta = {"n": X.n, "d": X.d, "p": args.p}
+    return m_dim_document("kernel_table", meta, dims, title, trailer)
 
 
-def cmd_search(args, parser) -> int:
-    rows = candidate_search(_parse_range(args.n), _parse_range(args.d), _parse_range(args.p))
-    _emit(search_document(rows), args.format)
-    return 0
+def cmd_search(args, parser) -> OutputDocument:
+    ranges = [_parse_range(f"--{flag}", getattr(args, flag)) for flag in "ndp"]
+    return search_document(candidate_search(*ranges))
 
 
-def cmd_quadric(args, parser) -> int:
+def cmd_quadric(args, parser) -> OutputDocument:
     if args.k < 2 or args.d < 2:
         parser.error("need k >= 2 and d >= 2")
-    n = 2 * args.k - 1
-    p = -args.k * args.d - args.d
-    dim = guaranteed_kernel_check(args.k, args.d)
-    _emit(quadric_document(args.k, args.d, n, p, n + 3, dim), args.format)
-    return 0
+    X, p, m = quadric_family(args.k, args.d)
+    dim = kernel_dim(X, p, m)
+    title = (
+        f"odd quadric-family check: k={args.k} d={args.d} (n={X.n}, p={p})\n"
+        f"dim ker(f_*) in degree m={m}: {dim}"
+    )
+    meta = {"k": args.k, "d": args.d, "n": X.n, "p": p}
+    return m_dim_document("kernel_table", meta, {m: dim}, title, {})
 
 
 def _read(path: str) -> str:
@@ -133,26 +117,19 @@ def _read(path: str) -> str:
 
 
 def _load_subject(args, parser):
-    """Resolve --example / --category [--cochain] into a structure or category."""
+    """The --budget, and the structure or category of --example / --category [--cochain]."""
+    budget = ai.Budget(args.budget)
     if args.example and args.category:
         parser.error("give either --example or --category, not both")
     if args.example:
         entry = ai.build_example(args.example, seed=args.seed)
-        entry["source"] = f"example {args.example}"
-        return entry
+        return dict(entry, source=f"example {args.example}"), budget
     if args.category:
         cat = ai.parse_category(_read(args.category))
-        entry = {
-            "kind": "category",
-            "category": cat,
-            "bimodule": ai.CentralBimodule.regular(cat),
-            "description": f"category from {args.category}",
-            "source": args.category,
-        }
+        entry = dict(_cat_entry(cat, f"category from {args.category}"), source=args.category)
         if getattr(args, "cochain", None):
-            eta = ai.parse_cochain(_read(args.cochain), cat, entry["bimodule"])
-            entry["cochain"] = eta
-        return entry
+            entry["cochain"] = ai.parse_cochain(_read(args.cochain), cat, entry["bimodule"])
+        return entry, budget
     parser.error("one of --example or --category is required")
 
 
@@ -164,65 +141,58 @@ def _as_structure(entry, budget):
     return ai.from_linear_category(entry["category"])
 
 
+def _report(entry, fields, pretty: str) -> OutputDocument:
+    """An ``ainfty_report`` on ``entry``: its source and description, then ``fields``."""
+    payload = {"source": entry["source"], "description": entry["description"], **fields}
+    return OutputDocument("ainfty_report", payload, pretty)
+
+
+def _passed(report) -> str:
+    return "true" if report.passed and report.unital else "false"
+
+
 def _nonnegative(flag: str, value: int) -> None:
     if value < 0:
         raise UsageError(f"{flag} must be >= 0, not {value}")
 
 
-def cmd_ainfty_verify(args, parser) -> int:
+def cmd_ainfty_verify(args, parser) -> OutputDocument:
     _nonnegative("--k-max", args.k_max)
-    budget = ai.Budget(args.budget)
-    entry = _load_subject(args, parser)
-    A = _as_structure(entry, budget)
-    report = ai.verify_stasheff(A, args.k_max, budget)
-    payload = {
-        "source": entry.get("source", ""),
-        "description": entry["description"],
+    entry, budget = _load_subject(args, parser)
+    report = ai.verify_stasheff(_as_structure(entry, budget), args.k_max, budget)
+    fields = {
         "k_max": str(args.k_max),
-        "passed": "true" if (report.passed and report.unital) else "false",
+        "passed": _passed(report),
         "evaluations": str(report.evaluations),
     }
     if report.first_failure:
         k, chain, tuple_args = report.first_failure
-        payload["first_failure_k"] = str(k)
-        payload["first_failure_chain"] = " ".join(map(str, chain))
-        payload["first_failure_args"] = " ".join(map(str, tuple_args))
+        fields["first_failure_k"] = str(k)
+        fields["first_failure_chain"] = " ".join(map(str, chain))
+        fields["first_failure_args"] = " ".join(map(str, tuple_args))
     if not report.unital:
-        payload["unitality"] = report.unital_failure or "failed"
-    pretty = f"{entry['description']}\n{report.summary()}"
-    _emit(ainfty_document(payload, pretty), args.format)
-    return 0
+        fields["unitality"] = report.unital_failure or "failed"
+    return _report(entry, fields, f"{entry['description']}\n{report.summary()}")
 
 
-def cmd_ainfty_hhdim(args, parser) -> int:
+def cmd_ainfty_hhdim(args, parser) -> OutputDocument:
     _nonnegative("--up-to", args.up_to)
-    budget = ai.Budget(args.budget)
-    entry = _load_subject(args, parser)
+    entry, budget = _load_subject(args, parser)
     if entry["kind"] != "category":
         parser.error("hhdim needs a linear category (not a deformed structure)")
     dims = ai.hh_dimensions(entry["category"], entry["bimodule"], args.up_to, budget)
     rows = [[str(k), str(v)] for k, v in enumerate(dims)]
-    payload = {
-        "source": entry.get("source", ""),
-        "description": entry["description"],
-        "entries": [["degree", "dim"]] + rows,
-    }
     pretty = f"Hochschild cohomology of {entry['description']}\n" + table_pretty(
         ["degree", "dim"], rows
     )
-    _emit(ainfty_document(payload, pretty), args.format)
-    return 0
+    return _report(entry, {"entries": [["degree", "dim"]] + rows}, pretty)
 
 
-def cmd_ainfty_deform(args, parser) -> int:
-    budget = ai.Budget(args.budget)
-    entry = _load_subject(args, parser)
-    if entry["kind"] == "structure":
-        A = entry["structure"]
-    elif "cochain" in entry:
-        A = ai.deform(entry["category"], entry["bimodule"], entry["cochain"], budget=budget)
-    else:
+def cmd_ainfty_deform(args, parser) -> OutputDocument:
+    entry, budget = _load_subject(args, parser)
+    if entry["kind"] == "category" and "cochain" not in entry:
         parser.error("deform needs --cochain (or a deformed --example)")
+    A = _as_structure(entry, budget)
     support = A.support()
     n = max(support) if support else 2
     k_max = max(7, n + 2)
@@ -231,11 +201,9 @@ def cmd_ainfty_deform(args, parser) -> int:
         [f"{a}->{b}", str(len(degs)), " ".join(map(str, degs))]
         for (a, b), degs in sorted(A.basis.items(), key=repr)
     ]
-    payload = {
-        "source": entry.get("source", ""),
-        "description": entry["description"],
+    fields = {
         "support": " ".join(map(str, support)),
-        "passed": "true" if (report.passed and report.unital) else "false",
+        "passed": _passed(report),
         "k_max": str(k_max),
         "entries": [["hom", "dim", "degrees"]] + hom_rows,
     }
@@ -244,8 +212,7 @@ def cmd_ainfty_deform(args, parser) -> int:
         + table_pretty(["hom", "dim", "degrees"], hom_rows)
         + f"\n{report.summary()}"
     )
-    _emit(ainfty_document(payload, pretty), args.format)
-    return 0
+    return _report(entry, fields, pretty)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,54 +226,45 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
 
-    p = sub.add_parser("diamond", help="twisted Hodge diamond of a hypersurface")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--twist", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_diamond)
+    def add_command(parent, name, help, func, *integers, **defaults):
+        """A subcommand of ``parent`` that requires the integer flags ``integers``."""
+        p = parent.add_parser(name, help=help)
+        for flag in integers:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("hh", help="Hochschild dimension profile")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--target", choices=("onX", "pushforward", "kernel"), default="onX")
-    add_format(p)
-    p.set_defaults(func=cmd_hh)
+    def add_degree_command(name, help, func, **defaults):
+        """A subcommand on the Hochschild degrees of ``(n, d, p)``, or on only ``--m``."""
+        p = add_command(sub, name, help, func, "--n", "--d", "--p", **defaults)
+        p.add_argument("--m", type=int, default=None)
+        return p
 
-    p = sub.add_parser("pushforward", help="Hochschild dimensions of the direct image")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    add_format(p)
-    p.set_defaults(func=cmd_hh, target="pushforward")
+    add_command(sub, "diamond", "twisted Hodge diamond of a hypersurface", cmd_diamond,
+                "--n", "--d", "--twist")
 
-    p = sub.add_parser("kernel", help="kernel dimensions of the pushforward map")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
+    p = add_degree_command("hh", "Hochschild dimension profile", cmd_hh)
+    p.add_argument("--target", choices=TARGETS, default="onX")
+
+    add_degree_command("pushforward", "Hochschild dimensions of the direct image", cmd_hh,
+                       target="pushforward")
+
+    p = add_degree_command("kernel", "kernel dimensions of the pushforward map", cmd_kernel)
     p.add_argument("--verify-les", action="store_true", dest="verify_les",
                    help="cross-check against the exact-sequence ledger")
-    add_format(p)
-    p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("search", help="candidate deformation-class table over a grid")
+    p = add_command(sub, "search", "candidate deformation-class table over a grid", cmd_search)
     # let values like -8..-8 pass for flags taking ranges
     p._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
-    p.add_argument("--n", required=True, help="range a..b or single value")
-    p.add_argument("--d", required=True, help="range a..b or single value")
-    p.add_argument("--p", required=True, help="range a..b or single value")
-    add_format(p)
-    p.set_defaults(func=cmd_search)
+    for flag in ("--n", "--d", "--p"):
+        p.add_argument(flag, required=True, help="range a..b or single value")
 
-    p = sub.add_parser("quadric", help="guaranteed one-dimensional kernel for odd quadric-family parameters")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_quadric)
+    add_command(sub, "quadric", "guaranteed one-dimensional kernel for odd quadric-family "
+                "parameters", cmd_quadric, "--k", "--d")
+
+    # each command above takes --format after its own flags
+    for p in sub.choices.values():
+        add_format(p)
 
     p = sub.add_parser("ainfty", help="finite-dimensional deformation engine")
     asub = p.add_subparsers(dest="ainfty_command", required=True)
@@ -322,19 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation cap (default 10^7; THD_BUDGET overrides)")
         add_format(sp)
 
-    sp = asub.add_parser("verify", help="check the defining identities and unitality")
+    sp = add_command(asub, "verify", "check the defining identities and unitality",
+                     cmd_ainfty_verify)
     add_subject(sp)
     sp.add_argument("--k-max", type=int, default=7, dest="k_max")
-    sp.set_defaults(func=cmd_ainfty_verify)
 
-    sp = asub.add_parser("hhdim", help="Hochschild cohomology dimensions of a category")
+    sp = add_command(asub, "hhdim", "Hochschild cohomology dimensions of a category",
+                     cmd_ainfty_hhdim)
     add_subject(sp, with_cochain=False)
     sp.add_argument("--up-to", type=int, default=4, dest="up_to")
-    sp.set_defaults(func=cmd_ainfty_hhdim)
 
-    sp = asub.add_parser("deform", help="deform a category along a cochain and verify")
+    sp = add_command(asub, "deform", "deform a category along a cochain and verify",
+                     cmd_ainfty_deform)
     add_subject(sp)
-    sp.set_defaults(func=cmd_ainfty_deform)
 
     return parser
 
@@ -343,19 +301,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except UsageError as exc:
+        text = args.func(args, parser).render(args.format)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ExactnessViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except (PreconditionViolation, NotACocycle) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
+    sys.stdout.write(text if args.format == "csv" else text + "\n")
+    return 0
 
 
 if __name__ == "__main__":

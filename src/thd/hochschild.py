@@ -27,11 +27,14 @@ from .hodge import Hypersurface, hodge_number
 TARGETS = ("onX", "pushforward", "kernel")
 
 
+def _degenerate_twist(X: Hypersurface, p: int) -> bool:
+    return X.t - p in (0, X.d)
+
+
 def _require_nondegenerate_twist(X: Hypersurface, p: int) -> None:
-    tp = X.t - p
-    if tp in (0, X.d):
+    if _degenerate_twist(X, p):
         raise PreconditionViolation(
-            f"t - p = {tp} lies in {{0, d}} for (n, d, p) = ({X.n}, {X.d}, {p}); "
+            f"t - p = {X.t - p} lies in {{0, d}} for (n, d, p) = ({X.n}, {X.d}, {p}); "
             "the kernel formula drops Kronecker-delta corrections that enter "
             "exactly at these twists"
         )
@@ -234,7 +237,7 @@ def candidate_search(
             X = Hypersurface(n, d)
             for p in sorted(set(p_range)):
                 m = n + 3
-                if X.t - p in (0, X.d):
+                if _degenerate_twist(X, p):
                     rows.append(
                         SearchRow(n, d, p, m, None, skipped=True, reason=f"t-p = {X.t - p} degenerate")
                     )
@@ -243,17 +246,21 @@ def candidate_search(
     return rows
 
 
-def guaranteed_kernel_check(k: int, d: int) -> int:
-    """Kernel dimension in degree ``n + 3`` for ``n = 2k - 1``, ``p = -kd - d``.
-
-    This parameter family always yields a one-dimensional kernel for
-    ``k >= 2`` and ``d >= 2``.
-    """
+def quadric_family(k: int, d: int) -> Tuple[Hypersurface, int, int]:
+    """``(X, p, m)`` of the odd quadric family: ``n = 2k - 1``, ``p = -kd - d``, ``m = n + 3``."""
     if k < 2 or d < 2:
         raise PreconditionViolation(f"need k >= 2 and d >= 2, got (k, d) = ({k}, {d})")
     n = 2 * k - 1
-    p = -k * d - d
-    return kernel_dim(Hypersurface(n, d), p, n + 3)
+    return Hypersurface(n, d), -k * d - d, n + 3
+
+
+def guaranteed_kernel_check(k: int, d: int) -> int:
+    """Kernel dimension at the parameters of :func:`quadric_family`.
+
+    This family always yields a one-dimensional kernel for
+    ``k >= 2`` and ``d >= 2``.
+    """
+    return kernel_dim(*quadric_family(k, d))
 
 
 @dataclass(frozen=True)

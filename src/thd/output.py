@@ -30,7 +30,7 @@ class OutputDocument:
         meta = {k: v for k, v in self.payload.items() if not isinstance(v, (list, dict))}
         for key, value in meta.items():
             writer.writerow([key, value])
-        table = self.payload.get("entries") or self.payload.get("dims") or []
+        table = self.payload.get("entries", [])
         for row in table:
             writer.writerow(row)
         return buf.getvalue()
@@ -88,34 +88,19 @@ def table_pretty(header: List[str], rows: List[List[str]]) -> str:
     return "\n".join([fmt_row(header)] + [fmt_row(r) for r in rows])
 
 
-def profile_document(profile) -> OutputDocument:
-    X = profile.hypersurface
-    rows = [[str(m), str(dim)] for m, dim in sorted(profile.dims.items())]
-    payload = {
-        "n": str(X.n),
-        "d": str(X.d),
-        "p": str(profile.twist),
-        "target": profile.target,
-        "entries": [["m", "dim"]] + rows,
-    }
-    pretty = f"dim HH^m, target={profile.target}, n={X.n} d={X.d} p={profile.twist}\n"
-    pretty += table_pretty(["m", "dim"], rows)
-    return OutputDocument("profile", payload, pretty)
+def m_dim_document(kind: str, meta: Dict, dims: Dict[int, int], title: str,
+                   trailer: Dict) -> OutputDocument:
+    """``meta`` fields (as strings), the ``(m, dim)`` table of ``dims``, then ``trailer`` fields.
 
-
-def kernel_document(X, p: int, table: Dict[int, int], verified=None) -> OutputDocument:
-    rows = [[str(m), str(dim)] for m, dim in sorted(table.items())]
-    payload = {
-        "n": str(X.n),
-        "d": str(X.d),
-        "p": str(p),
-        "entries": [["m", "dim"]] + rows,
-    }
-    header = f"dim ker(f_*) on HH^m, n={X.n} d={X.d} p={p}"
-    if verified is not None:
-        payload["verified_against_ledger"] = "true" if verified else "false"
-        header += "  [ledger oracle: " + ("agrees" if verified else "DISAGREES") + "]"
-    return OutputDocument("kernel_table", payload, header + "\n" + table_pretty(["m", "dim"], rows))
+    The pretty text is ``title`` over the table; a one-row table is not drawn,
+    since the title states its value.
+    """
+    rows = [[str(m), str(dim)] for m, dim in sorted(dims.items())]
+    payload = {key: str(value) for key, value in meta.items()}
+    payload["entries"] = [["m", "dim"]] + rows
+    payload.update(trailer)
+    pretty = title if len(rows) == 1 else title + "\n" + table_pretty(["m", "dim"], rows)
+    return OutputDocument(kind, payload, pretty)
 
 
 def search_document(rows) -> OutputDocument:
@@ -129,19 +114,3 @@ def search_document(rows) -> OutputDocument:
     payload = {"entries": [["n", "d", "p", "m", "dim", "note"]] + table}
     pretty = table_pretty(["n", "d", "p", "m", "dim", "note"], table)
     return OutputDocument("search_table", payload, pretty)
-
-
-def quadric_document(k: int, d: int, n: int, p: int, m: int, dim: int) -> OutputDocument:
-    payload = {
-        "k": str(k), "d": str(d), "n": str(n), "p": str(p),
-        "entries": [["m", "dim"], [str(m), str(dim)]],
-    }
-    pretty = (
-        f"odd quadric-family check: k={k} d={d} (n={n}, p={p})\n"
-        f"dim ker(f_*) in degree m={m}: {dim}"
-    )
-    return OutputDocument("kernel_table", payload, pretty)
-
-
-def ainfty_document(payload: Dict, pretty: str) -> OutputDocument:
-    return OutputDocument("ainfty_report", payload, pretty)

@@ -68,15 +68,18 @@ def test_diamond_json_round_trip(capsys):
     assert all(int(v) > 0 for v in parsed.values())
 
 
-def test_diamond_of_dimension_500_runs_as_a_command():
-    # the edges once recursed about n frames deep and ended in a traceback
+def run_command(*argv):
+    """Run ``python -m thd.cli`` on ``argv`` in a fresh interpreter, without ``THD_BUDGET``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "thd.cli", "diamond", "--n", "500", "--d", "5", "--twist", "-7",
-         "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    env.pop("THD_BUDGET", None)
+    return subprocess.run([sys.executable, "-m", "thd.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_diamond_of_dimension_500_runs_as_a_command():
+    # the edges once recursed about n frames deep and ended in a traceback
+    proc = run_command("diamond", "--n", "500", "--d", "5", "--twist", "-7", "--format", "json")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     doc = json.loads(proc.stdout)
@@ -205,6 +208,28 @@ def test_search(capsys):
     doc = json.loads(out)
     rows = doc["entries"][1:]
     assert rows == [["5", "7", "-8", "8", "20993", ""]]
+
+
+@pytest.mark.parametrize("text", ["a..b", "..3", "1..x", "3.."])
+def test_malformed_search_ranges_are_usage_errors(capsys, text):
+    # each once ended in a ValueError traceback and exit code 1
+    code, out, err = run(capsys, "search", "--n", "5", "--d", text, "--p", "-8")
+    assert code == 2 and out == ""
+    assert err == f"error: --d takes a range a..b or a single integer, not {text!r}\n"
+
+
+# exit code 4 needs a disagreeing ledger: test_oracle_disagreement_exit_code
+@pytest.mark.parametrize("code,argv", [
+    (0, ("diamond", "--n", "3", "--d", "4", "--twist", "1")),
+    (2, ("search", "--n", "3..", "--d", "7", "--p", "-8")),
+    (3, ("kernel", "--n", "5", "--d", "7", "--p", "0")),
+    (5, ("ainfty", "verify", "--example", "dual-deformed", "--budget", "10")),
+])
+def test_documented_exit_codes_as_a_command(code, argv):
+    proc = run_command(*argv)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") if code else proc.stderr == ""
 
 
 def test_search_flags_degenerate_rows(capsys):
