@@ -59,7 +59,7 @@ def _by_degree(args, dims, label: str, where: str, tag: str):
     if args.m is None:
         return dims, f"{label}^m, {where}{tag}"
     value = dims.get(args.m, 0)
-    return {args.m: value}, f"{label}^{args.m} ({where}) = {value}"
+    return {args.m: value}, f"{label}^{args.m} ({where}) = {value}{tag}"
 
 
 def cmd_hh(args, parser) -> OutputDocument:
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = parent.add_parser(name, help=help)
         for flag in integers:
             p.add_argument(flag, type=int, required=True)
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func, parser=p, **defaults)
         return p
 
     def add_degree_command(name, help, func, **defaults):
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args, parser).render(args.format)
+        text = args.func(args, args.parser).render(args.format)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ExactnessViolation, PreconditionViolation
 from .hodge import Hypersurface, hodge_number
@@ -42,11 +42,16 @@ def _require_nondegenerate_twist(X: Hypersurface, p: int) -> None:
 
 @lru_cache(maxsize=None)
 def _hh_on_X(n: int, d: int, p: int, m: int) -> int:
+    """The column ``j = i - m + n`` of the ``(t-p)``-diamond, summed over its support cells.
+
+    It meets ``j = 0``, ``j = n`` and ``i + j = n`` at ``i = m - n``, ``m`` and ``m / 2``, and
+    runs along ``i = j`` only when ``m = n``; a diamond is 0 off these loci."""
     X = Hypersurface(n, d)
     if m < 0 or m > 2 * n:
         return 0
     tp = X.t - p
-    return sum(hodge_number(X, tp, i, i - m + n) for i in range(0, n + 1))
+    rows = range(n + 1) if m == n else {m - n, m} | ({m // 2} if m % 2 == 0 else set())
+    return sum(hodge_number(X, tp, i, i - m + n) for i in rows if max(0, m - n) <= i <= min(n, m))
 
 
 def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
@@ -89,11 +94,16 @@ def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hh_push(n: int, d: int, p: int, m: int) -> int:
+    """The column ``j = n - m + i`` of pullback dimensions at ``t - p``, summed over its support.
+
+    It meets ``j = 0`` and ``j = n`` at ``i = m - n`` and ``m``, and runs along the loci
+    ``i = j`` and ``i - 1 = j`` only when ``m = n`` and ``m = n + 1``; all else is 0."""
     X = Hypersurface(n, d)
     if m < 0 or m > 2 * n + 1:
         return 0
     tp = X.t - p
-    return sum(pullback_cohomology_dim(X, tp, i, n - m + i) for i in range(0, n + 2))
+    rows = range(n + 2) if m in (n, n + 1) else {m - n, m}
+    return sum(pullback_cohomology_dim(X, tp, i, n - m + i) for i in rows)
 
 
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
@@ -210,8 +220,7 @@ def les_ledger(X: Hypersurface, p: int) -> ExactSequenceLedger:
     return ExactSequenceLedger(X, p, tuple(terms), tuple(ranks), kernels)
 
 
-@dataclass(frozen=True)
-class SearchRow:
+class SearchRow(NamedTuple):
     n: int
     d: int
     p: int

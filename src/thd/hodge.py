@@ -10,10 +10,12 @@ Only four loci of the ``(n+1) x (n+1)`` table can be nonzero: the lower edge
 diagonal ``i = j``.  Each locus has its own exact evaluation:
 
 * anti-diagonal ("middle line"): one coefficient of the Hilbert series
-  ``(1 + z + ... + z^{d-2})^{n+2}`` of the Jacobian ring of a degree-``d``
+  ``A = (1 + z + ... + z^{d-2})^{n+2}`` of the Jacobian ring of a degree-``d``
   form in ``n + 2`` variables (Griffiths, Ann. of Math. 90, 1969), computed
-  once per ``(n, d)``, plus a Kronecker delta at ``p = 0`` on the central
-  entry;
+  once per ``(n, d)`` by the four-term recurrence that
+  ``A' (1 - z)(1 - z^q) = N A (1 - q z^{q-1} + (q-1) z^q)`` gives
+  (``q = d - 1``, ``N = n + 2``), plus a Kronecker delta at ``p = 0`` on the
+  central entry;
 * diagonal away from the corners and the center: ``delta_{p,0}``;
 * corners: section counts of twists of the structure sheaf, via the Koszul
   resolution on the ambient space and Serre duality;
@@ -151,19 +153,23 @@ def euler_characteristic(X: Hypersurface, i: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def _jacobian_series(n: int, d: int) -> tuple:
-    """Coefficients of ``(1 + z + ... + z^{d-2})^{n+2}``; ``()`` for ``d = 1``.
+    """Coefficients of ``A = (1 + z + ... + z^{d-2})^{n+2}``; ``()`` for ``d = 1``.
 
-    This is the Hilbert series of the Jacobian ring of the Fermat form of
-    degree ``d`` in ``n + 2`` variables.  Miller's recurrence for a power of
-    a polynomial with constant term 1 gives ``a_0 = 1`` and
-    ``k a_k = sum_{j=1}^{min(d-2, k)} ((n+3) j - k) a_{k-j}``, exactly.
+    The Hilbert series of the Jacobian ring of the Fermat form of degree ``d``
+    in ``n + 2`` variables.  With ``q = d - 1`` and ``N = n + 2``, the
+    logarithmic derivative of ``A = ((1 - z^q) / (1 - z))^N`` gives
+    ``A' (1 - z)(1 - z^q) = N A (1 - q z^{q-1} + (q-1) z^q)``.  Its ``z^{k-1}``
+    coefficients give ``a_0 = 1`` and, with ``a_j = 0`` for ``j < 0``, exactly
+    ``k a_k = (k-1+N) a_{k-1} + (k-q-Nq) a_{k-q} + (N(q-1) - (k-q-1)) a_{k-q-1}``.
     """
     if d == 1:
         return ()
-    a = [1]
-    for k in range(1, (n + 2) * (d - 2) + 1):
-        a.append(sum(((n + 3) * j - k) * a[k - j] for j in range(1, min(d - 2, k) + 1)) // k)
-    return tuple(a)
+    q, N = d - 1, n + 2
+    a = [0] * q + [1]  # q leading zeros stand for a_{-q} .. a_{-1}
+    for k in range(1, N * (q - 1) + 1):
+        a.append(((k - 1 + N) * a[-1] + (k - q - N * q) * a[-q]
+                  + (N * (q - 1) - (k - q - 1)) * a[-q - 1]) // k)
+    return tuple(a[q:])
 
 
 @lru_cache(maxsize=None)
@@ -281,12 +287,12 @@ class TwistedHodgeDiamond:
         return [self.entry(i, n - i) for i in range(n, -1, -1)]
 
     def nonzero_entries(self):
-        """Sorted ``(i, j, value)`` triples with ``value != 0``."""
+        """Sorted ``(i, j, value)`` triples with ``value != 0``, read off the support cells."""
         n = self.n
         return [
             (i, j, self.entries[i][j])
             for i in range(n + 1)
-            for j in range(n + 1)
+            for j in sorted({0, n - i, i, n})
             if self.entries[i][j] != 0
         ]
 

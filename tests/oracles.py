@@ -14,6 +14,7 @@ can only ever drop below the rational rank, which would surface as a test
 failure, never as a silent pass.
 """
 
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, factorial
@@ -25,6 +26,7 @@ from thd import (
     PreconditionViolation,
     hodge_number,
     projective_space_hodge,
+    pullback_cohomology_dim,
     structure_sheaf_h0,
 )
 from thd.ainfty import Budget, Cochain, StasheffReport
@@ -456,6 +458,59 @@ def hh_dim_on_X_closed_form(X, p, m):
                 total += n - 1
         return total
     return 0
+
+
+# The full column sums and the power recurrence the library used before it
+# summed only the support cells of a column and took the Jacobian-ring series
+# by a four-term recurrence.
+
+
+@lru_cache(maxsize=2)
+def _column_sums(cell, n, d, q, rows):
+    """Sums of ``cell(X, q, i, j)`` over every ``0 <= i < rows``, ``0 <= j <= n``, keyed by ``i - j``.
+
+    Each column ``i - j = m - n`` is summed over all of its cells, on the
+    support or not.
+    """
+    X = Hypersurface(n, d)
+    sums = Counter()
+    for i in range(rows):
+        for j in range(n + 1):
+            sums[i - j] += cell(X, q, i, j)
+    return sums
+
+
+def full_column_hh_on_X(X, p, m):
+    """``dim HH^m(X, O_X(p))`` summed over every cell of the column ``j = i - m + n``."""
+    n = X.n
+    if m < 0 or m > 2 * n:
+        return 0
+    return _column_sums(hodge_number, n, X.d, X.t - p, n + 1)[m - n]
+
+
+def full_column_hh_push(X, p, m):
+    """``dim HH^m(P^{n+1}, f_* O_X(p))`` summed over every cell of the column ``j = n - m + i``.
+
+    Degenerate twists are not refused, as in the exact-sequence ledger.
+    """
+    n = X.n
+    if m < 0 or m > 2 * n + 1:
+        return 0
+    return _column_sums(pullback_cohomology_dim, n, X.d, X.t - p, n + 2)[m - n]
+
+
+def miller_jacobian_series(n, d):
+    """Coefficients of ``(1 + z + ... + z^{d-2})^{n+2}`` by Miller's power recurrence.
+
+    ``a_0 = 1`` and ``k a_k = sum_{j=1}^{min(d-2, k)} ((n+3) j - k) a_{k-j}``,
+    ``O(d)`` terms per coefficient; ``()`` for ``d = 1``.
+    """
+    if d == 1:
+        return ()
+    a = [1]
+    for k in range(1, (n + 2) * (d - 2) + 1):
+        a.append(sum(((n + 3) * j - k) * a[k - j] for j in range(1, min(d - 2, k) + 1)) // k)
+    return tuple(a)
 
 
 def alt_binom_sum(terms):

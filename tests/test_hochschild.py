@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import hh_dim_on_X_closed_form
+from oracles import full_column_hh_on_X, full_column_hh_push, hh_dim_on_X_closed_form
 from thd import (
     ExactnessViolation,
     Hypersurface,
@@ -18,6 +18,7 @@ from thd import (
     propagate_ranks,
     pullback_cohomology_dim,
 )
+from thd.hochschild import _hh_push
 
 X57 = Hypersurface(5, 7)
 
@@ -41,6 +42,18 @@ def test_two_route_equality_small_grid():
             for p in range(-15, 16):
                 for m in range(-1, 2 * n + 2):
                     assert hh_dim_on_X(X, p, m) == hh_dim_on_X_closed_form(X, p, m)
+
+
+def test_support_column_sums_match_the_full_columns():
+    # curves (n = 1) included: their values are wrong (ROADMAP item 6), but must not move;
+    # _hh_push is the ledger's route, which takes degenerate twists too
+    for n in range(1, 13):
+        for d in range(1, 10):
+            X = Hypersurface(n, d)
+            for p in range(-40, 21):
+                for m in range(-1, 2 * n + 3):
+                    assert hh_dim_on_X(X, p, m) == full_column_hh_on_X(X, p, m), (n, d, p, m)
+                    assert _hh_push(n, d, p, m) == full_column_hh_push(X, p, m), (n, d, p, m)
 
 
 def test_canonical_twist_delta_contributions():

@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import brute_projective_hodge, middle_alt_sum, recursive_chi_forms, recursive_edge_h0
+from oracles import (brute_projective_hodge, middle_alt_sum, miller_jacobian_series, recursive_chi_forms,
+                     recursive_edge_h0)
 from thd import (
     Hypersurface,
     PreconditionViolation,
@@ -11,6 +12,7 @@ from thd import (
     projective_space_hodge,
     structure_sheaf_h0,
 )
+from thd.hodge import _jacobian_series
 
 X57 = Hypersurface(5, 7)
 
@@ -205,6 +207,14 @@ def test_diamond_object():
     assert (2, 3, 917) in nz and all(v > 0 for (_, _, v) in nz)
 
 
+def test_nonzero_entries_match_a_scan_of_every_cell():
+    for n, d in [(1, 1), (1, 3), (1, 5)] + GRID:
+        for p in (-9, -1, 0, 2, 8):
+            dd = diamond(Hypersurface(n, d), p)
+            every = [(i, j, v) for i, row in enumerate(dd.entries) for j, v in enumerate(row) if v]
+            assert dd.nonzero_entries() == every, (n, d, p)
+
+
 def test_degree_one_hypersurface_is_projective_space():
     # a hyperplane in P^{n+1} is P^n; compare against the Bott values
     for n in range(1, 5):
@@ -230,6 +240,12 @@ def test_middle_line_matches_the_alternating_binomial_sum():
         for p in twists:
             for i in range(1, n):
                 assert hodge_number(X, p, i, n - i) == middle_alt_sum(n, d, p, i), (n, d, p, i)
+
+
+def test_jacobian_series_matches_millers_recurrence():
+    for n in range(1, 41):
+        for d in range(1, 14):
+            assert _jacobian_series(n, d) == miller_jacobian_series(n, d), (n, d)
 
 
 def test_edges_match_the_recursion():
