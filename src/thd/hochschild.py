@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ExactnessViolation, PreconditionViolation
-from .hodge import Hypersurface, hodge_number
+from .hodge import Hypersurface, _hodge
 
 TARGETS = ("onX", "pushforward", "kernel")
 
@@ -46,12 +46,11 @@ def _hh_on_X(n: int, d: int, p: int, m: int) -> int:
 
     It meets ``j = 0``, ``j = n`` and ``i + j = n`` at ``i = m - n``, ``m`` and ``m / 2``, and
     runs along ``i = j`` only when ``m = n``; a diamond is 0 off these loci."""
-    X = Hypersurface(n, d)
     if m < 0 or m > 2 * n:
         return 0
-    tp = X.t - p
+    tp = d - n - 2 - p
     rows = range(n + 1) if m == n else {m - n, m} | ({m // 2} if m % 2 == 0 else set())
-    return sum(hodge_number(X, tp, i, i - m + n) for i in rows if max(0, m - n) <= i <= min(n, m))
+    return sum(_hodge(n, d, tp, i, i - m + n) for i in rows if max(0, m - n) <= i <= min(n, m))
 
 
 def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
@@ -65,26 +64,28 @@ def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
     Case table over the same support loci as a twisted Hodge diamond, with
     six special entries where a connecting map subtracts a middle-line term.
     """
-    n, d = X.n, X.d
+    return _pullback(X.n, X.d, p, i, j)
+
+
+def _pullback(n: int, d: int, p: int, i: int, j: int) -> int:
     if i < 0 or i > n + 1 or j < 0 or j > n:
         return 0
-    h = lambda q, a, b: hodge_number(X, q, a, b)
     if (i, j) == (0, 0):
-        return h(p, 0, 0)
+        return _hodge(n, d, p, 0, 0)
     if (i, j) == (0, n):
-        return h(p, 0, n)
+        return _hodge(n, d, p, 0, n)
     if (i, j) == (n + 1, 0):
-        return h(p - d, n, 0)
+        return _hodge(n, d, p - d, n, 0)
     if (i, j) == (n + 1, n):
-        return h(p - d, n, n)
+        return _hodge(n, d, p - d, n, n)
     if (i, j) == (n, 0):
-        return h(p, n, 0) + h(p - d, n - 1, 0) - h(p - d, n - 1, 1)
+        return _hodge(n, d, p, n, 0) + _hodge(n, d, p - d, n - 1, 0) - _hodge(n, d, p - d, n - 1, 1)
     if (i, j) == (1, n):
-        return h(p, 1, n) + h(p - d, 0, n) - h(p, 1, n - 1)
+        return _hodge(n, d, p, 1, n) + _hodge(n, d, p - d, 0, n) - _hodge(n, d, p, 1, n - 1)
     if j == 0:
-        return h(p, i, 0) + h(p - d, i - 1, 0)
+        return _hodge(n, d, p, i, 0) + _hodge(n, d, p - d, i - 1, 0)
     if j == n:
-        return h(p, i, n) + h(p - d, i - 1, n)
+        return _hodge(n, d, p, i, n) + _hodge(n, d, p - d, i - 1, n)
     if i == j:
         return 1 if p == 0 else 0
     if i - 1 == j:
@@ -98,12 +99,11 @@ def _hh_push(n: int, d: int, p: int, m: int) -> int:
 
     It meets ``j = 0`` and ``j = n`` at ``i = m - n`` and ``m``, and runs along the loci
     ``i = j`` and ``i - 1 = j`` only when ``m = n`` and ``m = n + 1``; all else is 0."""
-    X = Hypersurface(n, d)
     if m < 0 or m > 2 * n + 1:
         return 0
-    tp = X.t - p
+    tp = d - n - 2 - p
     rows = range(n + 2) if m in (n, n + 1) else {m - n, m}
-    return sum(pullback_cohomology_dim(X, tp, i, n - m + i) for i in rows)
+    return sum(_pullback(n, d, tp, i, n - m + i) for i in rows)
 
 
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
@@ -123,17 +123,22 @@ def kernel_dim(X: Hypersurface, p: int, m: int) -> int:
     and in ``m = 2n`` (a middle-line entry of the ``(t-p-d)``-diamond).
     """
     _require_nondegenerate_twist(X, p)
-    n, t = X.n, X.t
+    return _kernel(X.n, X.d, p, m)
+
+
+def _kernel(n: int, d: int, p: int, m: int) -> int:
+    tp = d - n - 2 - p
     if 0 < m < 2 * n and m % 2 == 0:
-        return hodge_number(X, t - p, m // 2, n - m // 2)
+        return _hodge(n, d, tp, m // 2, n - m // 2)
     if m == 2 * n:
-        return hodge_number(X, t - p - X.d, n - 1, 1)
+        return _hodge(n, d, tp - d, n - 1, 1)
     return 0
 
 
 def kernel_table(X: Hypersurface, p: int) -> Dict[int, int]:
     """``kernel_dim`` for every ``m`` in ``[0, 2n]``."""
-    return {m: kernel_dim(X, p, m) for m in range(0, 2 * X.n + 1)}
+    _require_nondegenerate_twist(X, p)
+    return {m: _kernel(X.n, X.d, p, m) for m in range(0, 2 * X.n + 1)}
 
 
 @dataclass(frozen=True)
@@ -152,13 +157,10 @@ class HochschildProfile:
 def hochschild_profile(X: Hypersurface, p: int, target: str) -> HochschildProfile:
     if target not in TARGETS:
         raise PreconditionViolation(f"unknown target {target!r}; expected one of {TARGETS}")
-    top = 2 * X.n + 1
-    if target == "onX":
-        dims = {m: hh_dim_on_X(X, p, m) for m in range(0, top + 1)}
-    elif target == "pushforward":
-        dims = {m: hh_dim_pushforward(X, p, m) for m in range(0, top + 1)}
-    else:
-        dims = {m: kernel_dim(X, p, m) for m in range(0, top + 1)}
+    if target != "onX":
+        _require_nondegenerate_twist(X, p)
+    core = {"onX": _hh_on_X, "pushforward": _hh_push, "kernel": _kernel}[target]
+    dims = {m: core(X.n, X.d, p, m) for m in range(0, 2 * X.n + 2)}
     return HochschildProfile(X, p, target, dims)
 
 
@@ -209,8 +211,8 @@ def les_ledger(X: Hypersurface, p: int) -> ExactSequenceLedger:
     n, d = X.n, X.d
     terms: List[Tuple[str, int, int]] = []
     for i in range(0, 2 * n + 3):
-        terms.append(("A", i, hh_dim_on_X(X, p + d, i - 2)))
-        terms.append(("B", i, hh_dim_on_X(X, p, i)))
+        terms.append(("A", i, _hh_on_X(n, d, p + d, i - 2)))
+        terms.append(("B", i, _hh_on_X(n, d, p, i)))
         terms.append(("C", i, _hh_push(n, d, p, i)))  # the twist is checked above
     ranks = propagate_ranks([dim for (_, _, dim) in terms])
     kernels: Dict[int, int] = {}
@@ -251,7 +253,7 @@ def candidate_search(
                         SearchRow(n, d, p, m, None, skipped=True, reason=f"t-p = {X.t - p} degenerate")
                     )
                     continue
-                rows.append(SearchRow(n, d, p, m, kernel_dim(X, p, m)))
+                rows.append(SearchRow(n, d, p, m, _kernel(n, d, p, m)))
     return rows
 
 

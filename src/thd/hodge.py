@@ -30,6 +30,8 @@ Every evaluation is a loop (the ``n = 3`` edge correction makes one nested
 call), so the cost of a diamond is linear in ``n`` for a fixed twist and no
 dimension fails on recursion depth.
 
+The public functions take a :class:`Hypersurface`, which checks ``n, d >= 1``;
+the core below them (``_hodge``, ``_h0``, the cached helpers) takes ``(n, d)``.
 Everything is exact integer arithmetic.
 """
 
@@ -86,8 +88,11 @@ def projective_space_hodge(m: int, p: int, i: int, j: int) -> int:
 
 def structure_sheaf_h0(X: Hypersurface, p: int) -> int:
     """``dim H^0(X, O_X(p))``, from the Koszul resolution on ``P^{n+1}``."""
-    n1 = X.n + 1
-    return binom(p + n1, n1) - binom(p - X.d + n1, n1)
+    return _h0(X.n, X.d, p)
+
+
+def _h0(n: int, d: int, p: int) -> int:
+    return binom(p + n + 1, n + 1) - binom(p - d + n + 1, n + 1)
 
 
 def _chi_line(m: int, q: int) -> int:
@@ -225,25 +230,30 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
             restricted += 1
         total += sign * restricted
         sign, i, q = -sign, i - 1, q - d
-    return total + sign * (binom(q + m, m) - binom(q - d + m, m))
+    return total + sign * _h0(n, d, q)
 
 
 def hodge_number(X: Hypersurface, p: int, i: int, j: int) -> int:
     """Twisted Hodge number ``h^{i,j}_p(X)``; out-of-range ``(i, j)`` give 0."""
-    n, d, t = X.n, X.d, X.t
+    return _hodge(X.n, X.d, p, i, j)
+
+
+def _hodge(n: int, d: int, p: int, i: int, j: int) -> int:
+    """:func:`hodge_number` for ``X`` of dimension ``n`` and degree ``d``."""
+    t = d - n - 2
     if i < 0 or i > n or j < 0 or j > n:
         return 0
     if i == 0:
         if j == 0:
-            return structure_sheaf_h0(X, p)
+            return _h0(n, d, p)
         if j == n:
-            return structure_sheaf_h0(X, t - p)
+            return _h0(n, d, t - p)
         return 0
     if i == n:
         if j == 0:
-            return structure_sheaf_h0(X, t + p)
+            return _h0(n, d, t + p)
         if j == n:
-            return structure_sheaf_h0(X, -p)
+            return _h0(n, d, -p)
         return 0
     # 0 < i < n from here on.  The middle line takes precedence on the
     # diagonal at (n/2, n/2); it already carries that entry's delta.
@@ -307,9 +317,9 @@ def diamond(X: Hypersurface, p: int) -> TwistedHodgeDiamond:
     Only the support cells ``j in {0, n, n - i, i}`` of each row are
     evaluated; every other entry is 0.
     """
-    n = X.n
+    n, d = X.n, X.d
     rows = [[0] * (n + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         for j in {0, n, n - i, i}:
-            rows[i][j] = hodge_number(X, p, i, j)
+            rows[i][j] = _hodge(n, d, p, i, j)
     return TwistedHodgeDiamond(X, p, tuple(map(tuple, rows)))

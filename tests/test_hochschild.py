@@ -1,5 +1,10 @@
+import collections
+import hashlib
+
 import pytest
 
+import thd.hochschild
+import thd.hodge
 from oracles import full_column_hh_on_X, full_column_hh_push, hh_dim_on_X_closed_form
 from thd import (
     ExactnessViolation,
@@ -239,3 +244,59 @@ def test_kernel_table_is_full_range():
     table = kernel_table(X57, -8)
     assert set(table) == set(range(0, 11))
     assert table[4] == 917 and table[10] == 2807
+
+
+def _clear_thd_caches():
+    for module in (thd.hodge, thd.hochschild):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_the_integer_core_builds_no_hypersurface(monkeypatch):
+    built = []
+    validate = Hypersurface.__post_init__
+
+    def counted(self):
+        built.append((self.n, self.d))
+        validate(self)
+
+    X = Hypersurface(5, 7)
+    _clear_thd_caches()
+    monkeypatch.setattr(Hypersurface, "__post_init__", counted)
+    rows = candidate_search(range(3, 31), range(2, 13), range(-40, -2))
+    assert max(collections.Counter(built).values()) == 1  # one per (n, d) pair, checking its inputs
+    built.clear()
+    ledger, table = les_ledger(X, -8), kernel_table(X, -8)
+    assert built == []
+
+    # the values of the parent commit, degenerate cells and skip reasons included
+    assert len(rows) == 11704 and sum(r.skipped for r in rows) == 561
+    for r in rows:
+        tp = r.d - r.n - 2 - r.p
+        assert r.skipped == (tp in (0, r.d)) and r.reason == (f"t-p = {tp} degenerate" if r.skipped else "")
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "9079a21b4a639cb25cdfb3d5d18a16da75d9300044c3d1ed430d595cce8ac048"
+    kernels = {0: 0, 1: 0, 2: 0, 3: 0, 4: 917, 5: 0, 6: 15267, 7: 0, 8: 20993, 9: 0, 10: 2807}
+    assert table == kernels
+    assert ledger.kernel_of_fstar == {**kernels, 11: 0, 12: 0}
+    assert [dim for (_, _, dim) in ledger.terms] == [
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 917, 917, 0, 0, 2996, 2996, 15267, 24269, 9009, 7,
+        10395, 10395, 20993, 26768, 5775, 0, 1575, 1575, 2807, 2996, 189, 0, 0, 7, 7, 0, 0,
+    ]
+
+
+def test_the_twist_is_checked_once_per_table(monkeypatch):
+    checks = []
+    require = thd.hochschild._require_nondegenerate_twist
+    monkeypatch.setattr(thd.hochschild, "_require_nondegenerate_twist",
+                        lambda X, p: checks.append(p) or require(X, p))
+    kernel_table(X57, -8)
+    assert checks == [-8]
+    for target, expected in (("onX", []), ("pushforward", [-8]), ("kernel", [-8])):
+        checks.clear()
+        hochschild_profile(X57, -8, target)
+        assert checks == expected, target
+    for table in (lambda: kernel_table(X57, 0), lambda: hochschild_profile(X57, -7, "pushforward")):
+        with pytest.raises(PreconditionViolation, match=r"^t - p = (0|7) lies in \{0, d\} for"):
+            table()
