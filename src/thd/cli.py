@@ -4,13 +4,11 @@ Subcommands: diamond, hh, pushforward, kernel, search, quadric,
 ainfty {verify|hhdim|deform}.  Exit codes: 0 success, 2 usage error,
 3 precondition failure, 4 internal inconsistency (oracle disagreement),
 5 evaluation budget exceeded; ``EXIT_CODES`` maps each error type to its code.
-``main`` builds one parser per cache generation (``build_parser`` is an ``lru_cache``).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import re
 import sys
 from pathlib import Path
@@ -217,7 +215,6 @@ def cmd_ainfty_deform(args, parser) -> OutputDocument:
     return _report(entry, fields, pretty)
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thd",

@@ -133,19 +133,5 @@ def test_cli_output_matches_the_recording(case):
     assert run_case(case) == recorded()[case]
 
 
-def test_a_reused_parser_leaks_no_state():
-    # build_parser is cached, so every call below after the first reuses one parser
-    cases = ["diamond --n 5", "diamond --n 5 --d 7 --twist 8 --format json", "diamond --n 5",
-             "pushforward --n 5 --d 7 --p -8", "hh --n 5 --d 7 --p -8"]
-    thd.cli.build_parser.cache_clear()
-    first = [run_case(case) for case in cases]
-    assert thd.cli.build_parser.cache_info().misses == 1
-    assert first[0] == first[2] == recorded()["diamond --n 5"] and first[0]["code"] == 2
-    assert first[1]["code"] == 0 and first[1]["stderr"] == ""
-    assert first[3:] == [recorded()[case] for case in cases[3:]]  # no --target leaks from a default
-    thd.cli.build_parser.cache_clear()
-    assert [run_case(case) for case in cases] == first
-
-
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps({case: run_case(case) for case in CASES}, indent=1) + "\n")

@@ -1,11 +1,10 @@
 import collections
-import hashlib
 
 import pytest
 
 import thd.hochschild
 import thd.hodge
-from oracles import full_column_hh_on_X, full_column_hh_push, hh_dim_on_X_closed_form
+from oracles import full_column_hh_on_X, full_column_hh_push, hh_dim_on_X_closed_form, middle_alt_sum
 from thd import (
     ExactnessViolation,
     Hypersurface,
@@ -270,13 +269,30 @@ def test_the_integer_core_builds_no_hypersurface(monkeypatch):
     ledger, table = les_ledger(X, -8), kernel_table(X, -8)
     assert built == []
 
-    # the values of the parent commit, degenerate cells and skip reasons included
+    # the values the library gave before the integer core, degenerate cells and skip reasons
+    # included; m = n + 3 is an interior middle-line degree for odd n > 3 and m = 2n for n = 3
     assert len(rows) == 11704 and sum(r.skipped for r in rows) == 561
     for r in rows:
         tp = r.d - r.n - 2 - r.p
-        assert r.skipped == (tp in (0, r.d)) and r.reason == (f"t-p = {tp} degenerate" if r.skipped else "")
-    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "9079a21b4a639cb25cdfb3d5d18a16da75d9300044c3d1ed430d595cce8ac048"
+        assert (r.m, r.skipped) == (r.n + 3, tp in (0, r.d)), r
+        assert r.reason == (f"t-p = {tp} degenerate" if r.skipped else ""), r
+        if r.skipped:
+            expected = None
+        elif r.n == 3:
+            expected = middle_alt_sum(3, r.d, tp - r.d, 2)
+        else:
+            expected = middle_alt_sum(r.n, r.d, tp, r.m // 2) if r.n % 2 else 0
+        assert r.dim == expected, r
+    by_cell = {(r.n, r.d, r.p): tuple(r) for r in rows}
+    assert [by_cell[cell] for cell in ((3, 2, -6), (3, 2, -5), (5, 7, -8), (29, 12, -37), (30, 12, -3))] == [
+        (3, 2, -6, 6, 1, False, ""),
+        (3, 2, -5, 6, None, True, "t-p = 2 degenerate"),
+        (5, 7, -8, 8, 20993, False, ""),
+        (29, 12, -37, 32, 4327688274657489895954304104257, False, ""),
+        (30, 12, -3, 33, 0, False, ""),
+    ]
+    assert sum(1 for r in rows if r.dim) == 4467
+    assert sum(r.dim for r in rows if r.dim) == 106200672861827437100362093977236
     kernels = {0: 0, 1: 0, 2: 0, 3: 0, 4: 917, 5: 0, 6: 15267, 7: 0, 8: 20993, 9: 0, 10: 2807}
     assert table == kernels
     assert ledger.kernel_of_fstar == {**kernels, 11: 0, 12: 0}
