@@ -243,11 +243,12 @@ def candidate_search(
     order is irrelevant; assembly is deterministic.
     """
     rows: List[SearchRow] = []
+    d_values, p_values = sorted(set(d_range)), sorted(set(p_range))  # once, so iterators work too
     for n in sorted(set(n_range)):
-        for d in sorted(set(d_range)):
+        m = n + 3
+        for d in d_values:
             X = Hypersurface(n, d)
-            for p in sorted(set(p_range)):
-                m = n + 3
+            for p in p_values:
                 if _degenerate_twist(X, p):
                     rows.append(
                         SearchRow(n, d, p, m, None, skipped=True, reason=f"t-p = {X.t - p} degenerate")

@@ -219,6 +219,10 @@ def test_candidate_search():
     # even n gives odd degree n+3, hence zero kernels
     rows = candidate_search([4], [3], [-9])
     assert rows[0].dim == 0
+    # any iterable, iterators included, is read once
+    grid = (range(3, 5), range(2, 4), range(-6, -3))
+    assert candidate_search(*(iter(r) for r in grid)) == candidate_search(*grid)
+    assert len(candidate_search(*grid)) == 12
 
 
 def test_guaranteed_kernels():
