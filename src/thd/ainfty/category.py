@@ -8,6 +8,8 @@ Conventions used throughout the deformation engine:
   ``x: a->b`` followed by ``y: b->c`` in ``hom(a,c)``, which ``diag`` looks
   up (only the text format in :mod:`.textio` writes function order);
 * every table is extended to vectors by :func:`~.linalg.multilinear`;
+* every walk over chains of objects and basis tuples along them is
+  :func:`_basis_tuples`, which never enters a slot with no arguments;
 * bimodule values ``M(a, b)`` carry a left action by ``hom(a', a)`` and a
   right action by ``hom(b, b')``.  Scalars act through the field on both
   sides by construction, so centrality over the base field is built in.
@@ -32,6 +34,30 @@ def vclean(vec: Vec) -> Vec:
 
 def basis_vec(idx: int, field) -> Vec:
     return {idx: field.one}
+
+
+def _basis_tuples(objects, slot_dims, keep=None, skip=None):
+    """Every ``(chain, args)`` with ``args[k]`` in ``range(slot_dims[k](chain[k], chain[k + 1]))``.
+
+    Chains are built one object at a time, and a chain stops at the first
+    slot with no arguments left.  ``keep(chain[0], chain[-1])`` drops whole
+    chains before their arguments are listed; ``skip[a]`` is left out of
+    every slot from ``a`` to ``a``.  The order is by the positions of the
+    chain's objects in ``objects``, then by ``args``.
+    """
+    skip = skip or {}
+    walks = [((a,), ()) for a in objects]
+    for dim in slot_dims:
+        walks = [(chain + (b,), ranges + (slot,)) for chain, ranges in walks for b in objects
+                 if (slot := _slot(dim(chain[-1], b), skip.get(b) if b == chain[-1] else None))]
+    for chain, ranges in walks:
+        if keep is None or keep(chain[0], chain[-1]):
+            for args in itertools.product(*ranges):
+                yield chain, args
+
+
+def _slot(dim: int, left_out: Optional[int]):
+    return range(dim) if left_out is None else [i for i in range(dim) if i != left_out]
 
 
 def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r):
@@ -80,7 +106,6 @@ class FiniteLinearCategory:
         self.dims: Dict[Tuple, int] = {k: v for k, v in dims.items() if v}
         self.compose = compose  # (a,b,c) -> {(x in hom(a,b), y in hom(b,c)): Vec in hom(a,c)}
         self.identities: Dict[object, Vec] = identities
-        self._splits: Optional[Dict] = None
 
     # -- basic access -------------------------------------------------
     def dim(self, a, b) -> int:
@@ -101,23 +126,6 @@ class FiniteLinearCategory:
             if coeff == self.field.one:
                 return idx
         return None
-
-    # -- splits: co-multiplication data for the sparse differential ---
-    def splits(self):
-        """For each hom basis element, the pairs whose product hits it.
-
-        Returns ``{(a, c): {k: [(b, u, v, coeff), ...]}}`` meaning the
-        product of ``u: a->b`` and ``v: b->c`` contains ``coeff * e_k``.
-        """
-        if self._splits is None:
-            table: Dict = {}
-            for (a, b, c), pairs in self.compose.items():
-                for (u, v), vec in pairs.items():
-                    for k, coeff in vec.items():
-                        if coeff:
-                            table.setdefault((a, c), {}).setdefault(k, []).append((b, u, v, coeff))
-            self._splits = table
-        return self._splits
 
     # -- validation ----------------------------------------------------
     def validate(self) -> None:
@@ -271,45 +279,37 @@ class LinearFunctor:
         return self.maps.get((a, b), [{}] * self.source.dim(a, b))[idx]
 
     def validate(self) -> None:
-        src, tgt = self.source, self.target
+        src, tgt, om = self.source, self.target, self.obj_map
         for a in src.objects:
             if src.dim(a, a):
-                fa = self.obj_map[a]
                 img = multilinear(partial(self.apply, a, a), [src.identity_vector(a)])
-                if img != vclean(tgt.identity_vector(fa)):
+                if img != vclean(tgt.identity_vector(om[a])):
                     raise PreconditionViolation(f"functor does not preserve the identity of {a!r}")
-        for a, b, c in itertools.product(src.objects, repeat=3):
-            if not (src.dim(a, b) and src.dim(b, c)):
-                continue
-            fa, fb, fc = self.obj_map[a], self.obj_map[b], self.obj_map[c]
-            for x in range(src.dim(a, b)):
-                for y in range(src.dim(b, c)):
-                    lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
-                    rhs = multilinear(partial(tgt.diag, fa, fb, fc),
-                                      [self.apply(a, b, x), self.apply(b, c, y)])
-                    if lhs != rhs:
-                        raise PreconditionViolation(
-                            f"functor does not preserve composition on ({x},{y}) "
-                            f"in hom({a!r},{b!r}) x hom({b!r},{c!r})"
-                        )
+        for (a, b, c), (x, y) in _basis_tuples(src.objects, [src.dim] * 2):
+            lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
+            rhs = multilinear(partial(tgt.diag, om[a], om[b], om[c]),
+                              [self.apply(a, b, x), self.apply(b, c, y)])
+            if lhs != rhs:
+                raise PreconditionViolation(
+                    f"functor does not preserve composition on ({x},{y}) "
+                    f"in hom({a!r},{b!r}) x hom({b!r},{c!r})"
+                )
 
 
 def restricted_bimodule(F: LinearFunctor, M: CentralBimodule) -> CentralBimodule:
     """Pull a bimodule on the target category back along a functor."""
     src, om, one = F.source, F.obj_map, F.source.field.one
-    dims = {(a, b): d for a in src.objects for b in src.objects if (d := M.dim(om[a], om[b]))}
+    def mdim(a, b):
+        return M.dim(om[a], om[b])
+    dims = {(a, b): d for a in src.objects for b in src.objects if (d := mdim(a, b))}
     left: Dict = {}
     right: Dict = {}
-    for a, b, c in itertools.product(src.objects, repeat=3):
-        fa, fb, fc = om[a], om[b], om[c]
-        for x in range(src.dim(a, b)):
-            for m in range(M.dim(fb, fc)):
-                if v := multilinear(partial(M.lact, fa, fb, fc), [F.apply(a, b, x), {m: one}]):
-                    left.setdefault((a, b, c), {})[(x, m)] = v
-        for m in range(M.dim(fa, fb)):
-            for x in range(src.dim(b, c)):
-                if v := multilinear(partial(M.ract, fa, fb, fc), [{m: one}, F.apply(b, c, x)]):
-                    right.setdefault((a, b, c), {})[(m, x)] = v
+    for (a, b, c), (x, m) in _basis_tuples(src.objects, [src.dim, mdim]):
+        if v := multilinear(partial(M.lact, om[a], om[b], om[c]), [F.apply(a, b, x), {m: one}]):
+            left.setdefault((a, b, c), {})[(x, m)] = v
+    for (a, b, c), (m, x) in _basis_tuples(src.objects, [mdim, src.dim]):
+        if v := multilinear(partial(M.ract, om[a], om[b], om[c]), [{m: one}, F.apply(b, c, x)]):
+            right.setdefault((a, b, c), {})[(m, x)] = v
     return CentralBimodule(src, dims, left, right)
 
 

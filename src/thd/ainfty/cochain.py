@@ -40,6 +40,7 @@ from .category import (
     FiniteLinearCategory,
     LinearFunctor,
     Vec,
+    _basis_tuples,
     _gamma_products,
     _lift,
     _unit_failure,
@@ -124,7 +125,8 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
 
     ``left[(x0, xn, m)]`` lists ``(a, x, [(m', c), ..])`` for each nonzero ``x . e_m``,
     ``right[(x0, xn, m)]`` lists ``(c, x, [(m', c), ..])`` for each nonzero ``e_m . x``,
-    ``splits[(a, c, k)]`` is ``(len(pairs), pairs)`` for ``pairs = cat.splits()[(a, c)][k]``.
+    ``splits[(a, c, k)]`` is ``[count, pairs]``: ``pairs`` lists ``(b, u, v, coeff)`` for each
+    ``u: a->b`` and ``v: b->c`` whose product has ``coeff e_k``, ``count`` how many there are.
     Not cached: tensors can change.  ``normalized`` checks the unit laws and
     drops the terms of ``id . e_m``, ``e_m . id`` and the splits ``(id, k)``
     and ``(k, id)``, still counted: an action entry keeps its place.
@@ -150,9 +152,15 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
             if x < cat.dim(xn, c) and any(vec.values()):
                 right.setdefault((x0, xn, m), []).append(
                     (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec)))
-    splits = {(a, c, k): (len(pairs), [(b, u, v, raw(field, coeff)) for b, u, v, coeff in pairs
-                                       if (b, u, v) not in ((a, units.get(a), k), (c, k, units.get(c)))])
-              for (a, c), by_k in cat.splits().items() for k, pairs in by_k.items()}
+    splits: Dict = {}
+    for (a, b, c), pairs in cat.compose.items():
+        for (u, v), vec in pairs.items():
+            for k, coeff in vec.items():
+                if coeff:
+                    entry = splits.setdefault((a, c, k), [0, []])
+                    entry[0] += 1
+                    if (b, u, v) not in ((a, units.get(a), k), (c, k, units.get(c))):
+                        entry[1].append((b, u, v, raw(field, coeff)))
     return left, splits, right
 
 
@@ -205,25 +213,6 @@ def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Coch
     return Cochain(f.cat, f.mod, f.degree + 1, out)
 
 
-def _composable_chains(cat: FiniteLinearCategory, length: int):
-    """Object chains of the given arrow count with all hom spaces nonzero."""
-    if length == 0:
-        for a in cat.objects:
-            yield (a,)
-        return
-    def rec(chain):
-        if len(chain) == length + 1:
-            yield tuple(chain)
-            return
-        for b in cat.objects:
-            if cat.dim(chain[-1], b):
-                chain.append(b)
-                yield from rec(chain)
-                chain.pop()
-    for a in cat.objects:
-        yield from rec([a])
-
-
 def cochain_basis(
     cat: FiniteLinearCategory,
     mod: CentralBimodule,
@@ -240,21 +229,10 @@ def cochain_basis(
         if idx is None:
             raise PreconditionViolation(f"identity of {a!r} is not a basis vector")
     keys: List[Tuple[Tuple, Tuple[int, ...], int]] = []
-    for chain in _composable_chains(cat, degree):
-        if not mod.dim(chain[0], chain[-1]):
-            continue
-        def rec(args: Tuple[int, ...], k: int):
-            if k == degree:
-                for m in range(mod.dim(chain[0], chain[-1])):
-                    budget.charge()
-                    keys.append((chain, args, m))
-                return
-            a, b = chain[k], chain[k + 1]
-            for idx in range(cat.dim(a, b)):
-                if a == b and excluded[a] == idx:
-                    continue
-                rec(args + (idx,), k + 1)
-        rec((), 0)
+    for chain, args in _basis_tuples(cat.objects, [cat.dim] * degree, keep=mod.dim, skip=excluded):
+        for m in range(mod.dim(chain[0], chain[-1])):
+            budget.charge()
+            keys.append((chain, args, m))
     return keys
 
 
@@ -407,20 +385,11 @@ def restrict_along_functor(F: LinearFunctor, eta: Cochain) -> Cochain:
 
 def _pulled_back(F: LinearFunctor, eta: Cochain) -> Dict:
     """The data of :func:`restrict_along_functor`, keyed by basis arguments of ``F.source``."""
-    n = eta.degree
+    om = F.obj_map
     data: Dict = {}
-    for chain in _composable_chains(F.source, n):
-        fchain = tuple(F.obj_map[a] for a in chain)
-        if not eta.mod.dim(fchain[0], fchain[-1]):
-            continue
-        def rec(args, vecs, k):
-            if k == n:
-                val = vclean(eta.evaluate(fchain, list(vecs)))
-                if val:
-                    data[(chain, args)] = val
-                return
-            a, b = chain[k], chain[k + 1]
-            for idx in range(F.source.dim(a, b)):
-                rec(args + (idx,), vecs + [F.apply(a, b, idx)], k + 1)
-        rec((), [], 0)
+    for chain, args in _basis_tuples(F.source.objects, [F.source.dim] * eta.degree,
+                                     keep=lambda a, b: eta.mod.dim(om[a], om[b])):
+        vecs = [F.apply(a, b, idx) for a, b, idx in zip(chain, chain[1:], args)]
+        if val := vclean(eta.evaluate(tuple(om[a] for a in chain), vecs)):
+            data[(chain, args)] = val
     return data

@@ -49,7 +49,7 @@ OpsTable = Dict[int, Dict[Tuple[Tuple, Tuple[int, ...]], Vec]]
 class AInfinityStructure:
     """Objects, graded based hom spaces, sparse product tensors, units."""
 
-    def __init__(self, field, objects, basis, ops: OpsTable, units, projection_blocks=None):
+    def __init__(self, field, objects, basis, ops: OpsTable, units):
         self.field = field
         self.objects = tuple(objects)
         self.basis: Dict[Tuple, Tuple[int, ...]] = {k: tuple(v) for k, v in basis.items() if v}
@@ -57,9 +57,6 @@ class AInfinityStructure:
                               for s, tab in ops.items()}
         self.ops = {s: tab for s, tab in self.ops.items() if tab}
         self.units: Dict[object, Vec] = units  # strict units as vectors
-        # (a, b) -> (linear dim, bimodule dim) when built by deform(); the
-        # canonical projection functor is "keep the first block".
-        self.projection_blocks = projection_blocks
 
     def dim(self, a, b) -> int:
         return len(self.basis.get((a, b), ()))
@@ -75,13 +72,6 @@ class AInfinityStructure:
 
     def apply_vecs(self, s: int, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
         return multilinear(lambda *args: self.apply(s, chain, args), arg_vecs)
-
-    def project(self, a, b, vec: Vec) -> Vec:
-        """Apply the canonical projection onto the linear part, if present."""
-        if self.projection_blocks is None:
-            raise PreconditionViolation("structure carries no projection datum")
-        dx, _ = self.projection_blocks.get((a, b), (self.dim(a, b), 0))
-        return {i: c for i, c in vec.items() if i < dx}
 
 
 def from_linear_category(cat: FiniteLinearCategory) -> AInfinityStructure:
@@ -112,14 +102,8 @@ def deform(
         if not hochschild_differential(eta, budget).is_zero():
             raise NotACocycle(f"the degree-{n} cochain is not closed")
     objects = cat.objects
-    basis: Dict = {}
-    blocks: Dict = {}
-    for a in objects:
-        for b in objects:
-            dx, dm = cat.dim(a, b), mod.dim(a, b)
-            if dx or dm:
-                basis[(a, b)] = (0,) * dx + (2 - n,) * dm
-                blocks[(a, b)] = (dx, dm)
+    basis = {(a, b): (0,) * cat.dim(a, b) + (2 - n,) * mod.dim(a, b)
+             for a in objects for b in objects}
 
     def shifted(a, b, vec: Vec) -> Vec:
         """A vector of ``M(a, b)`` in the bimodule block of ``hom(a,b) (+) M(a,b)``."""
@@ -135,7 +119,7 @@ def deform(
             m2[((a, b, c), (cat.dim(a, b) + m, x))] = shifted(a, c, vec)
     mn = {(chain, args): shifted(chain[0], chain[-1], vec) for (chain, args), vec in eta.data.items()}
     units = {a: dict(cat.identity_vector(a)) for a in objects if cat.dim(a, a)}
-    return AInfinityStructure(cat.field, objects, basis, {2: m2, n: mn}, units, projection_blocks=blocks)
+    return AInfinityStructure(cat.field, objects, basis, {2: m2, n: mn}, units)
 
 
 @dataclass(frozen=True)
@@ -293,7 +277,4 @@ def tensor_with_algebra(obj, gamma: Algebra):
     units = {}
     for a, unit in A.units.items():
         units[a] = tensor_vec(unit, gamma.unit, gd)
-    blocks = None
-    if A.projection_blocks is not None:
-        blocks = {k: (dx * gd, dm * gd) for k, (dx, dm) in A.projection_blocks.items()}
-    return AInfinityStructure(A.field, A.objects, basis, ops, units, projection_blocks=blocks)
+    return AInfinityStructure(A.field, A.objects, basis, ops, units)

@@ -329,7 +329,13 @@ def per_key_hochschild_differential(f, budget=None):
                         multilinear(partial(mod.ract, b, b, c), [vec, basis_vec(x, cat.field)]), minus)
         return Cochain(cat, mod, 1, out)
 
-    splits = cat.splits()
+    # for each (a, c) and hom basis element k, the pairs u: a->b, v: b->c whose product hits it
+    splits = {}
+    for (a, b, c), pairs in cat.compose.items():
+        for (u, v), vec in pairs.items():
+            for k, coeff in vec.items():
+                if coeff:
+                    splits.setdefault((a, c), {}).setdefault(k, []).append((b, u, v, coeff))
     for (chain, args), vec in f.data.items():
         x0, xn = chain[0], chain[-1]
         for a in cat.objects:

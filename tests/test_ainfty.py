@@ -388,14 +388,6 @@ def test_deformed_m2_is_composition_and_the_actions_block_by_block(base, field):
                 assert A.apply(2, (a, b, c), (i, j)) == vclean(want), (a, b, c, i, j)
 
 
-def test_deformed_projection_datum():
-    cat = a2_path_category()
-    mod = regular(cat)
-    A = deform(cat, mod, Cochain(cat, mod, 3, {}))
-    assert A.projection_blocks[("1", "2")] == (1, 1)
-    assert A.project("1", "2", {0: QQ.one, 1: QQ.of(5)}) == {0: QQ.one}
-
-
 def test_strict_unitality_of_deformation():
     A = deform(dual_numbers(), regular(dual_numbers()), square_zero_cocycle())
     report = verify_stasheff(A, 4)

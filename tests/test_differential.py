@@ -169,6 +169,22 @@ def test_every_call_reads_the_tensors_as_they_are_then(field):
     assert after == per_key_hochschild_differential(f) and after != before
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_every_call_reads_the_product_as_it_is_then(field):
+    # x x = x turns k[x]/(x^2) into k x k, whose HH is its centre alone: the
+    # splits of the product, like the actions, are compiled per call
+    one, o = field.one, ("*", "*", "*")
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    assert hh_dimensions(cat, mod, 3) == [2, 1, 1, 1]
+    for table in (cat.compose, mod.left, mod.right):
+        table[o][(1, 1)] = {1: one}
+    compose = {o: {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {1: one}}}
+    fresh = FiniteLinearCategory(field, ["*"], {("*", "*"): 2}, compose, {"*": {0: one}})
+    assert hh_dimensions(fresh, CentralBimodule.regular(fresh), 3) == [2, 0, 0, 0]
+    assert hh_dimensions(cat, mod, 3) == [2, 0, 0, 0]
+
+
 def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():
     cat = dual_numbers(QQ)
     mod = CentralBimodule.regular(cat)
