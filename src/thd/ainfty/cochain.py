@@ -16,8 +16,9 @@ from which :func:`differential_terms` emits the terms of ``d`` on one basis
 key ``(chain, args, m)``: a prefix term per entry of the left action on
 ``e_m``, a merge term per pair of arrows whose product hits an argument, a
 suffix term per entry of the right action.  The matrix of ``d`` sums them into
-sparse columns that :mod:`.linalg` reduces, and :func:`hochschild_differential`
-is their linear extension.
+sparse columns that :mod:`.linalg` reduces; their linear extension, summed on
+raw numbers, is :func:`_coboundary`, which ``deform`` tests for zero and
+:func:`hochschild_differential` exports as a :class:`Cochain`.
 
 Cochain spaces are enumerated in one model, the normalized subcomplex of
 cochains vanishing on identity arguments (Loday, *Cyclic Homology*, ch. 1),
@@ -195,22 +196,29 @@ def differential_terms(tables, chain: Tuple, args: Tuple[int, ...], m: int, budg
 
 
 def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
-    """The bar differential ``df``, the linear extension of :func:`differential_terms`.
+    """The bar differential ``df``: the raw :func:`_coboundary` exported as field elements."""
+    data: Dict = {}
+    for (chain, args, m), c in _coboundary(f, budget).items():
+        data.setdefault((chain, args), {})[m] = f.cat.field.of(c)
+    return Cochain(f.cat, f.mod, f.degree + 1, data)
 
-    Charges the budget for every basis entry ``(chain, args, m)`` of ``f``
-    in turn, so a component with several bimodule entries is charged for
-    each of them.
+
+def _coboundary(f: Cochain, budget: Optional[Budget] = None) -> Dict:
+    """``df`` as ``{(chain, args, m): c}``, every ``c`` a nonzero raw number (:func:`raw`).
+
+    The linear extension of :func:`differential_terms` over the full
+    :func:`differential_tables`, so a cochain need not be normalized.
+    Charges the budget for every basis entry ``(chain, args, m)`` of ``f``.
     """
-    budget = budget or Budget()
-    zero = f.cat.field.zero
-    tables = differential_tables(f.cat, f.mod)
-    out: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
+    budget, field = budget or Budget(), f.cat.field
+    p, tables, out = getattr(field, "p", 0), differential_tables(f.cat, f.mod), {}
     for (chain, args), vec in f.data.items():
         for m, c in vec.items():
+            c = raw(field, c)
             for dchain, dargs, mm, t in differential_terms(tables, chain, args, m, budget):
-                target = out.setdefault((dchain, dargs), {})
-                target[mm] = target.get(mm, zero) + c * t
-    return Cochain(f.cat, f.mod, f.degree + 1, out)
+                key = (dchain, dargs, mm)
+                out[key] = out.get(key, 0) + c * t
+    return {key: v for key, c in out.items() if (v := c % p if p else c)}
 
 
 def cochain_basis(

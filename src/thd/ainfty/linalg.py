@@ -7,7 +7,8 @@ columns left to right and touches only the rows that hold a nonzero (in the
 spirit of Markowitz, 1957); rank, a nullspace basis and a particular solution
 all come out of it.  It reduces raw numbers, converted only at its boundary:
 ints in ``[0, p)`` over F_p, and over Q an int wherever the value is integral
-and a ``Fraction`` only otherwise.  Values leave as field elements.
+and a ``Fraction`` only otherwise.  Values leave as field elements.  Its one
+update, :func:`axpy`, also sums the Stasheff verifier's joins.
 """
 
 from __future__ import annotations
@@ -53,6 +54,28 @@ def raw(field, value):
     return value.value if p else value.numerator if value.denominator == 1 else value
 
 
+def axpy(target: Vec, vec: Vec, scale, p: int) -> Vec:
+    """target += scale * vec on nonzero raw values of characteristic ``p``, dropping zeros.
+
+    Tests ``p`` once: over F_p a sum is taken ``% p``, over Q one that is
+    integral is kept as an int.  Returns target.
+    """
+    get = target.get
+    if p:
+        for k, c in vec.items():
+            if val := (get(k, 0) + c * scale) % p:
+                target[k] = val
+            else:  # scale * c is never zero, so k was in target
+                del target[k]
+        return target
+    for k, c in vec.items():
+        if val := get(k, 0) + c * scale:
+            target[k] = val.numerator if type(val) is Fraction and val.denominator == 1 else val
+        else:
+            del target[k]
+    return target
+
+
 class Echelon:
     """Columns reduced left to right into an echelon form keyed by leading row.
 
@@ -65,32 +88,17 @@ class Echelon:
     """
 
     def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
-        self.field, self.p = field, getattr(field, "p", 0)
+        self.field, self.p = field, p = field, getattr(field, "p", 0)
         self.pivots: Dict[int, tuple] = {}
         self.null: List[Vec] = []
         for j, col in enumerate(columns):
             vec, combo = self.reduce(col, {j: 1} if combos else None)
             if vec:
                 lead = min(vec)
-                inv = pow(vec[lead], -1, self.p) if self.p else raw(field, Fraction(1, vec[lead]))
-                self.pivots[lead] = (self._axpy({}, vec, inv), combo and self._axpy({}, combo, inv))
+                inv = pow(vec[lead], -1, p) if p else raw(field, Fraction(1, vec[lead]))
+                self.pivots[lead] = (axpy({}, vec, inv, p), combo and axpy({}, combo, inv, p))
             elif combos:
                 self.null.append(self.export(combo, 1))
-
-    def _axpy(self, target: Vec, vec: Vec, scale) -> Vec:
-        """target += scale * vec on raw values, dropping zeros; returns target."""
-        p, get = self.p, target.get
-        for k, c in vec.items():
-            val = get(k, 0) + c * scale
-            if p:
-                val %= p
-            elif type(val) is Fraction and val.denominator == 1:
-                val = val.numerator
-            if val:
-                target[k] = val
-            else:  # scale * c is never zero, so k was in target
-                del target[k]
-        return target
 
     def export(self, vec: Vec, sign) -> Vec:
         """``sign * vec`` as field elements, in order of index."""
@@ -102,16 +110,18 @@ class Echelon:
         Returns the raw residue, zero exactly when ``col`` is in the span of
         the pivots, and ``combo`` (or None) less the combinations subtracted.
         """
-        vec = {r: v for r, v in ((r, raw(self.field, c)) for r, c in col.items()) if v}
+        p, field = self.p, self.field
+        vec = {r: v for r, c in col.items()
+               if (v := (c % p if p else c) if type(c) is int else raw(field, c))}
         while vec:
             lead = min(vec)
             pivot = self.pivots.get(lead)
             if pivot is None:
                 break
             factor = -vec[lead]
-            self._axpy(vec, pivot[0], factor)
+            axpy(vec, pivot[0], factor, p)
             if combo is not None:
-                self._axpy(combo, pivot[1], factor)
+                axpy(combo, pivot[1], factor, p)
         return vec, combo
 
 

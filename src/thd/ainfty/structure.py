@@ -37,11 +37,10 @@ from .category import (
     basis_vec,
     tensor_category,
     tensor_vec,
-    vadd,
     vclean,
 )
-from .cochain import Cochain, hochschild_differential
-from .linalg import multilinear
+from .cochain import Cochain, _coboundary
+from .linalg import axpy, multilinear, raw
 
 OpsTable = Dict[int, Dict[Tuple[Tuple, Tuple[int, ...]], Vec]]
 
@@ -98,9 +97,8 @@ def deform(
     n = eta.degree
     if n < 3:
         raise PreconditionViolation(f"deformation degree must be >= 3, got {n}")
-    if check:
-        if not hochschild_differential(eta, budget).is_zero():
-            raise NotACocycle(f"the degree-{n} cochain is not closed")
+    if check and _coboundary(eta, budget):
+        raise NotACocycle(f"the degree-{n} cochain is not closed")
     objects = cat.objects
     basis = {(a, b): (0,) * cat.dim(a, b) + (2 - n,) * mod.dim(a, b)
              for a in objects for b in objects}
@@ -164,26 +162,33 @@ def verify_stasheff(A: AInfinityStructure, k_max: int, budget: Optional[Budget] 
     Each nonzero term ``m_u(.., m_s(..), ..)`` joins an inner ``m_s`` entry
     with an outer ``m_u`` entry whose slot ``r`` takes the inner output;
     only these joins are evaluated (one budget charge each) and summed per
-    ``(chain, args)``.  The first failure is the smallest key with a
+    ``(chain, args)`` on raw numbers (:func:`~.linalg.axpy`); the residual
+    leaves as field elements.  The first failure is the smallest key with a
     nonzero residual at the smallest failing ``k``: chains ordered by the
     positions of their objects in ``A.objects``, then ``args``.  Also checks
     strict unitality: ``m_1(Id) = 0``, ``m_2`` unit laws, and ``m_s``
     vanishing on any identity argument for ``s != 2``.
     """
     budget = budget or Budget()
-    support = A.support()
-    one = A.field.one
+    field, support, p = A.field, A.support(), getattr(A.field, "p", 0)
     position = {a: i for i, a in enumerate(A.objects)}
-    entries = {s: [(chain, args, vec) for (chain, args), vec in A.ops[s].items()
+    entries = {s: [(chain, args, {i: v for i, c in vec.items() if (v := raw(field, c))})
+                   for (chain, args), vec in A.ops[s].items()
                    if _is_basis_key(A, position, s, chain, args)] for s in support}
-    outer: Dict[Tuple, List] = {}  # (u, r, chain[r], chain[r + 1], args[r]) -> m_u entries
+    # inner[s]: one (chain, args, output key, raw coefficient) per output of an m_s entry
+    inner = {s: [(chain, args, (chain[0], chain[-1], y), c)
+                 for chain, args, vec in entries[s] for y, c in vec.items()] for s in support}
+    # outer[(u, r)][(chain[r], chain[r + 1], args[r])]: the m_u entries split around slot r,
+    # with their Koszul prefix |x_1| + .. + |x_r|
+    outer: Dict[Tuple, Dict] = {}
     for u in support:
-        for entry in entries[u]:
-            chain, args, _ = entry
+        for chain, args, out in entries[u]:
+            prefix = 0
             for r in range(u):
-                outer.setdefault((u, r, chain[r], chain[r + 1], args[r]), []).append(entry)
-    evaluations = 0
-    ks_evaluated = []
+                outer.setdefault((u, r), {}).setdefault((chain[r], chain[r + 1], args[r]), []).append(
+                    (chain[:r], chain[r + 2 :], args[:r], args[r + 1 :], out, prefix))
+                prefix += A.deg(chain[r], chain[r + 1], args[r])
+    evaluations, ks_evaluated = 0, []
     for k in range(1, k_max + 1):
         relevant = [(r, s) for s in support for r in range(k - s + 1) if k - s + 1 in support]
         if not relevant:
@@ -192,21 +197,20 @@ def verify_stasheff(A: AInfinityStructure, k_max: int, budget: Optional[Budget] 
         totals: Dict[Tuple, Vec] = {}
         for r, s in relevant:
             u = k - s + 1
-            for ichain, iargs, inner in entries[s]:
-                for y, cy in inner.items():
-                    for ochain, oargs, out in outer.get((u, r, ichain[0], ichain[-1], y), ()):
-                        budget.charge()
-                        evaluations += 1
-                        koszul = (2 - s) * sum(A.deg(ochain[l], ochain[l + 1], oargs[l]) for l in range(r))
-                        scale = one if (r + s * (u - 1 - r) + koszul) % 2 == 0 else -one
-                        # the inner chain and arguments replace slot r of the outer ones
-                        key = (ochain[:r] + ichain + ochain[r + 2 :], oargs[:r] + iargs + oargs[r + 1 :])
-                        vadd(totals.setdefault(key, {}), out, scale * cy)
-        failing = [key for key, total in totals.items() if total]  # vadd drops zeros
+            sign, slots = r + s * (u - 1 - r), outer.get((u, r), {})
+            for ichain, iargs, slot, cy in inner[s]:
+                for head, tail, before, after, out, prefix in slots.get(slot, ()):
+                    budget.charge()
+                    evaluations += 1
+                    # the inner chain and arguments replace slot r of the outer ones
+                    key = (head + ichain + tail, before + iargs + after)
+                    axpy(totals.setdefault(key, {}), out, -cy if (sign + (2 - s) * prefix) % 2 else cy, p)
+        failing = [key for key, total in totals.items() if total]  # axpy drops zeros
         if failing:
             chain, args = min(failing, key=lambda key: ([position[a] for a in key[0]], key[1]))
+            residual = {i: field.of(c) for i, c in totals[(chain, args)].items()}
             return StasheffReport(False, k_max, evaluations, tuple(ks_evaluated),
-                                  first_failure=(k, chain, args), residual=totals[(chain, args)])
+                                  first_failure=(k, chain, args), residual=residual)
     ok, msg = _check_unitality(A, budget)
     return StasheffReport(True, k_max, evaluations, tuple(ks_evaluated), unital=ok, unital_failure=msg)
 
