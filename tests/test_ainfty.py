@@ -145,6 +145,53 @@ def test_right_action_is_checked_where_there_are_no_arrows_between_objects():
     assert _validate_message(mod) == "right action is not associative at ('a','b','b','b')"
 
 
+def _a3_times_matrices():
+    """The path category 1 -> 2 -> 3 with every hom tensored with M_2 over F_7."""
+    F = PrimeField(7)
+    objects = (1, 2, 3)
+    dims = {(i, j): 1 for i in objects for j in objects if i <= j}
+    compose = {(i, j, k): {(0, 0): {0: F.one}}
+               for i in objects for j in objects for k in objects if i <= j <= k}
+    path = FiniteLinearCategory(F, objects, dims, compose, {i: {0: F.one} for i in objects})
+    return tensor_category(path, matrix_algebra(F, 2))
+
+
+@pytest.mark.parametrize("table, key, pair, value, messages", [
+    ("compose", (1, 2, 3), (0, 1), {1: 3}, ("associativity fails at (1,1,2,3) on basis (1,2,1)",
+                                             "bimodule actions do not commute at (1,1,2,3)")),
+    ("left", (2, 3, 3), (3, 3), {0: 2}, (None, "left action is not associative at (1,2,3,3)")),
+    ("right", (1, 3, 3), (1, 2), {2: 5}, (None, "bimodule actions do not commute at (1,1,3,3)")),
+])
+def test_validate_on_a_corrupted_three_object_category(table, key, pair, value, messages):
+    # Only chains through nonzero homs are checked, and the first failure is
+    # the one the walk over all quadruples of objects met first.
+    cat = _a3_times_matrices()
+    mod = regular(cat)
+    tables = {"compose": cat.compose, "left": mod.left, "right": mod.right}
+    tables[table][key][pair] = {k: cat.field.of(v) for k, v in value.items()}
+    if table == "compose":
+        mod = regular(cat)
+    for obj, message in zip((cat, mod), messages):
+        if message is None:
+            obj.validate()
+        else:
+            assert _validate_message(obj) == message
+
+
+def test_validate_checks_only_chains_through_nonzero_homs(monkeypatch):
+    # 15 of the 81 quadruples of objects of 1 -> 2 -> 3 are chains a <= b <= c <= e
+    from thd.ainfty import category
+
+    calls = []
+    checked = category._first_nonassociative
+    monkeypatch.setattr(category, "_first_nonassociative", lambda *a: calls.append(a) or checked(*a))
+    cat = _a3_times_matrices()
+    cat.validate()
+    assert len(calls) == 15
+    regular(cat).validate()
+    assert len(calls) == 15 + 3 * 15
+
+
 def test_bimodule_over_an_object_without_identity_is_a_precondition_violation():
     # hom(b, b) = k only, so a has no identity; M(a, b) = k
     one = QQ.one

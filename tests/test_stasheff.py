@@ -6,10 +6,11 @@ its terms, which the summary prints), ``unital`` and ``unital_failure``.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import exhaustive_stasheff
+from oracles import exhaustive_stasheff, per_key_hochschild_differential
 from thd.ainfty import (
     AInfinityStructure,
     Budget,
@@ -27,9 +28,17 @@ from thd.ainfty import (
     tensor_with_algebra,
     verify_stasheff,
 )
-from thd.ainfty.examples import dual_numbers, matrix_algebra, product_algebra_unit_basis
+from thd.ainfty.cochain import _tables, differential_terms
+from thd.ainfty.examples import (
+    dual_numbers,
+    matrix_algebra,
+    perturbed_noncocycle,
+    product_algebra_unit_basis,
+    square_zero_cocycle,
+)
+from thd.ainfty.fields import GFElement
 from thd.ainfty.structure import _check_unitality
-from thd.errors import BudgetExceeded
+from thd.errors import BudgetExceeded, NotACocycle
 
 FIELDS = {"Q": QQ, "F32003": PrimeField(32003), "F7": PrimeField(7)}
 
@@ -172,3 +181,104 @@ def test_budget_spent_is_joins_plus_unitality_charges():
     assert _check_unitality(A, unitality) == (True, None)
     assert budget.spent == report.evaluations + unitality.spent
     assert unitality.spent > 0
+
+
+@pytest.mark.parametrize("field", [QQ, FIELDS["F7"]], ids=["Q", "F7"])
+def test_deform_refuses_a_noncocycle_that_is_not_normalized(field):
+    # The square-zero cocycle plus 2x on (x, 1, x): the identity argument makes
+    # it non-closed, and only the full differential tables see that; the
+    # normalized ones drop every term of that key.
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    chain = ("*",) * 4
+    eta = Cochain(cat, mod, 3, {(chain, (1, 1, 1)): {1: field.one},
+                                (chain, (1, 0, 1)): {1: field.of(2)}})
+    normalized = _tables(cat, mod, normalized=True)
+    assert not any(differential_terms(normalized, chain, (1, 0, 1), 1, Budget()))
+    assert not per_key_hochschild_differential(eta).is_zero()
+    with pytest.raises(NotACocycle):
+        deform(cat, mod, eta)
+    assert not verify_stasheff(deform(cat, mod, eta, check=False), 5).passed
+
+
+def _pipeline_category():
+    """The category and bimodule of the benchmark's deform-pipeline workload."""
+    F = FIELDS["F32003"]
+    cat = tensor_with_algebra(dual_numbers(F), product_algebra_unit_basis(F))
+    return cat, CentralBimodule.regular(cat)
+
+
+def test_deform_check_and_differential_charge_as_before():
+    # Budget.spent pinned to the values of the GFElement implementation
+    cat, mod = _pipeline_category()
+    rng = random.Random(0)
+    eta = Cochain(cat, mod, 3, {})
+    for vec in cocycle_space(cat, mod, 3):
+        eta = eta + vec.scaled(cat.field.of(rng.randrange(1, cat.field.p)))
+    budget = Budget()
+    deform(cat, mod, eta, budget=budget)
+    assert budget.spent == 1360
+    budget = Budget()
+    assert hochschild_differential(eta, budget).is_zero() and budget.spent == 1360
+    noncocycle = random_cochain(cat, mod, 3, rng)
+    budget = Budget()
+    d = hochschild_differential(noncocycle, budget)
+    assert budget.spent == 1550 and d == per_key_hochschild_differential(noncocycle)
+    assert {type(c) for vec in d.data.values() for c in vec.values()} == {GFElement}
+    budget = Budget()
+    with pytest.raises(NotACocycle):
+        deform(cat, mod, noncocycle, budget=budget)
+    assert budget.spent == 1550
+
+
+@pytest.mark.parametrize("field, kind", [(QQ, Fraction), (FIELDS["F7"], GFElement),
+                                         (FIELDS["F32003"], GFElement)], ids=["Q", "F7", "F32003"])
+@pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 3)], ids=["half", "third"])
+def test_noncocycle_deformations_with_fractional_coefficients(field, kind, scale):
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    eta = (perturbed_noncocycle(field) + square_zero_cocycle(field)).scaled(field.of(scale))
+    report = assert_agrees(deform(cat, mod, eta, check=False), 6)
+    # k = 4 evaluates to minus d eta, whose value on (x, x, x, x) is 2 * scale * x
+    assert report.first_failure == (4, ("*",) * 5, (1, 1, 1, 1))
+    assert report.residual == {3: field.of(-2 * scale)}
+    assert {type(c) for c in report.residual.values()} == {kind}
+
+
+def test_stasheff_joins_make_no_field_multiplications(monkeypatch):
+    # Only _check_unitality multiplies field elements; the joins and the
+    # deform check run on raw numbers.
+    cat, mod = _pipeline_category()
+    F = cat.field
+    eta = Cochain(cat, mod, 3, {})
+    for c, vec in enumerate(cocycle_space(cat, mod, 3), start=1):
+        eta = eta + vec.scaled(F.of(c))
+    rng = random.Random(1)
+    while True:
+        noncocycle = random_cochain(cat, mod, 3, rng)
+        if not per_key_hochschild_differential(noncocycle).is_zero():
+            break
+    base = build_example("random-cocycle", F, seed=1)["structure"]
+    structures = [deform(cat, mod, eta), deform(cat, mod, noncocycle, check=False),
+                  tensor_with_algebra(base, matrix_algebra(F, 2))]
+    calls = []
+    multiply = GFElement.__mul__
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+    monkeypatch.setattr(GFElement, "__mul__", counted)
+    monkeypatch.setattr(GFElement, "__rmul__", counted)
+
+    def count(fn, *args, **kwargs):
+        calls.clear()
+        result = fn(*args, **kwargs)
+        return result, len(calls)
+    for A in structures:
+        report, joined = count(verify_stasheff, A, 7)
+        _, unital = count(_check_unitality, A, Budget())
+        assert joined == (unital if report.passed else 0)
+        assert report.passed or report.residual
+    assert count(deform, cat, mod, eta)[1] == 0
+    with pytest.raises(NotACocycle):
+        deform(cat, mod, noncocycle)
+    assert not calls
