@@ -12,12 +12,16 @@ The differential is
 
 with coefficients in degree 0, so no extra signs appear.  Each call compiles
 the structure tensors into tables of raw numbers (:func:`differential_tables`),
-from which :func:`differential_terms` emits the terms of ``d`` on one basis
-key ``(chain, args, m)``: a prefix term per entry of the left action on
-``e_m``, a merge term per pair of arrows whose product hits an argument, a
-suffix term per entry of the right action.  The matrix of ``d`` sums them into
-sparse columns that :mod:`.linalg` reduces; their linear extension, summed on
-raw numbers, is :func:`_coboundary`, which ``deform`` tests for zero and
+from which :func:`_block_columns` builds the columns of ``d`` on one block:
+the basis keys ``(chain, args, m)`` of one ``(chain, args)``, which
+:func:`cochain_basis` emits together.  A column holds a prefix term per entry
+of the left action on ``e_m``, a merge term per pair of arrows whose product
+hits an argument, a suffix term per entry of the right action.  A merge term
+lands in the same target block for every ``m``, and a prefix or suffix term
+in the same block for every ``m`` whose action entry reaches it, so the walk
+looks each target block up once per source block.  The matrix of ``d`` is
+these columns, which :mod:`.linalg` reduces; their linear extension, summed
+on raw numbers, is :func:`_coboundary`, which ``deform`` tests for zero and
 :func:`hochschild_differential` exports as a :class:`Cochain`.
 
 Cochain spaces are enumerated in one model, the normalized subcomplex of
@@ -31,6 +35,8 @@ and cancel in pairs by the unit laws, which are checked once per call instead.
 from __future__ import annotations
 
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import PreconditionViolation
@@ -70,6 +76,14 @@ class Cochain:
                 self._check_key(*key)
                 self.data[key] = vec
 
+    @classmethod
+    def _built(cls, cat, mod, degree: int, data: Dict) -> "Cochain":
+        """A cochain on keys the library made to fit ``degree``: zeros dropped, keys not re-checked."""
+        self = cls.__new__(cls)
+        self.cat, self.mod, self.degree = cat, mod, degree
+        self.data = {key: vec for key, vec in ((k, vclean(v)) for k, v in data.items()) if vec}
+        return self
+
     def _check_key(self, chain: Tuple, args: Tuple[int, ...]) -> None:
         if len(chain) != self.degree + 1 or len(args) != self.degree:
             raise PreconditionViolation(
@@ -93,7 +107,7 @@ class Cochain:
         return not any(self.data.values())
 
     def scaled(self, c) -> "Cochain":
-        return Cochain(
+        return Cochain._built(
             self.cat, self.mod, self.degree,
             {k: {i: c * v for i, v in vec.items()} for k, vec in self.data.items()},
         )
@@ -105,7 +119,7 @@ class Cochain:
         for k, vec in other.data.items():
             target = data.setdefault(k, {})
             vadd(target, vec, self.cat.field.one)
-        return Cochain(self.cat, self.mod, self.degree, data)
+        return Cochain._built(self.cat, self.mod, self.degree, data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,34 +179,67 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     return left, splits, right
 
 
-def differential_terms(tables, chain: Tuple, args: Tuple[int, ...], m: int, budget: Budget):
-    """The terms of ``d`` on the basis cochain with value ``e_m`` at ``(chain, args)``.
+_LEFT = "differential left the normalized subcomplex"
 
-    Yields ``(chain', args', m', c)`` with ``c`` raw, read from the
-    :func:`differential_tables`: prefix terms ``x . e_m`` from the left
-    action, merge terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix terms
-    ``(-1)^{n+1} e_m . x`` from the right action.  A key can occur more than
-    once; its terms are to be summed.  Charges ``budget`` once, one unit per
-    nonzero term (an action entry or a split), counted as the tables count.
+
+def _block_columns(tables, chain: Tuple, args: Tuple[int, ...], ms, budget: Budget, place):
+    """The columns of ``d`` on the basis cochains ``e_m`` at ``(chain, args)``, one per ``m`` in ``ms``.
+
+    Read from the tables of :func:`_tables`: prefix terms ``x . e_m`` from the
+    left action, merge terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix
+    terms ``(-1)^{n+1} e_m . x`` from the right action.  ``place((chain',
+    args'))`` gives ``(pos, size)``: where the target block's ``e_0`` sits and
+    the dimension of the bimodule there, ``(0, 0)`` for no block; it is asked
+    once per target of the block, so a column maps ``pos + m'`` to an unreduced
+    sum of raw numbers.  A term past its block raises.  Charges ``budget`` per
+    ``m``, one unit per nonzero term (an action entry or a split), counted as
+    the tables count.
     """
     left, splits, right = tables
-    n = len(args)
-    prefix, suffix = left.get((chain[0], chain[-1], m), ()), right.get((chain[0], chain[-1], m), ())
+    x0, xn, n = chain[0], chain[-1], len(args)
     merges = [splits.get((chain[i], chain[i + 1], args[i]), (0, ())) for i in range(n)]
-    budget.charge(len(prefix) + len(suffix) + sum(count for count, _ in merges))
-    for a, x, vec in prefix:
-        dchain, dargs = (a,) + chain, (x,) + args
-        for mm, c in vec:
-            yield dchain, dargs, mm, c
+    merged = sum(count for count, _ in merges)
+    sides = [(m, left.get((x0, xn, m), ()), right.get((x0, xn, m), ())) for m in ms]
+    for _, prefix, suffix in sides:
+        budget.charge(len(prefix) + len(suffix) + merged)
+    top = max(ms, default=-1)
+    # a merge term lands on the same m of the same target for every m
+    across = []
     for i, (_, pairs) in enumerate(merges):
         for b, u, v, coeff in pairs:
-            yield (chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :],
-                   m, coeff if i % 2 else -coeff)
+            pos, size = place((chain[: i + 1] + (b,) + chain[i + 1 :],
+                               args[:i] + (u, v) + args[i + 1 :]))
+            if top >= size:
+                raise PreconditionViolation(_LEFT)
+            across.append((pos, coeff if i % 2 else -coeff))
+    starts, ends, columns = {}, {}, []
     negate = n % 2 == 0
-    for c, x, vec in suffix:
-        dchain, dargs = chain + (c,), args + (x,)
-        for mm, t in vec:
-            yield dchain, dargs, mm, -t if negate else t
+    for m, prefix, suffix in sides:
+        col: Dict = {}
+        for a, x, vec in prefix:
+            if vec:
+                spot = starts.get((a, x))
+                if spot is None:
+                    spot = starts[(a, x)] = place(((a,) + chain, (x,) + args))
+                pos, size = spot
+                for mm, c in vec:
+                    if mm >= size:
+                        raise PreconditionViolation(_LEFT)
+                    col[pos + mm] = col.get(pos + mm, 0) + c
+        for pos, c in across:
+            col[pos + m] = col.get(pos + m, 0) + c
+        for c, x, vec in suffix:
+            if vec:
+                spot = ends.get((c, x))
+                if spot is None:
+                    spot = ends[(c, x)] = place((chain + (c,), args + (x,)))
+                pos, size = spot
+                for mm, t in vec:
+                    if mm >= size:
+                        raise PreconditionViolation(_LEFT)
+                    col[pos + mm] = col.get(pos + mm, 0) + (-t if negate else t)
+        columns.append(col)
+    return columns
 
 
 def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
@@ -200,25 +247,38 @@ def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Coch
     data: Dict = {}
     for (chain, args, m), c in _coboundary(f, budget).items():
         data.setdefault((chain, args), {})[m] = f.cat.field.of(c)
-    return Cochain(f.cat, f.mod, f.degree + 1, data)
+    return Cochain._built(f.cat, f.mod, f.degree + 1, data)
 
 
 def _coboundary(f: Cochain, budget: Optional[Budget] = None) -> Dict:
     """``df`` as ``{(chain, args, m): c}``, every ``c`` a nonzero raw number (:func:`raw`).
 
-    The linear extension of :func:`differential_terms` over the full
-    :func:`differential_tables`, so a cochain need not be normalized.
-    Charges the budget for every basis entry ``(chain, args, m)`` of ``f``.
+    The columns of :func:`_block_columns` over the full
+    :func:`differential_tables`, so a cochain need not be normalized, summed
+    with the coefficients of ``f``; the targets get their rows as they
+    appear.  Charges the budget for every basis entry ``(chain, args, m)`` of
+    ``f``.
     """
-    budget, field = budget or Budget(), f.cat.field
-    p, tables, out = getattr(field, "p", 0), differential_tables(f.cat, f.mod), {}
+    budget, field, mod = budget or Budget(), f.cat.field, f.mod
+    p, tables = getattr(field, "p", 0), differential_tables(f.cat, mod)
+    index: Dict = {}
+    keys: List = []  # keys[row] is the (chain, args, m) of a row
+
+    def place(target):
+        spot = index.get(target)
+        if spot is None:
+            chain, args = target
+            spot = index[target] = (len(keys), mod.dim(chain[0], chain[-1]))
+            keys.extend((chain, args, m) for m in range(spot[1]))
+        return spot
+
+    out: Dict = {}
     for (chain, args), vec in f.data.items():
-        for m, c in vec.items():
+        for c, col in zip(vec.values(), _block_columns(tables, chain, args, vec, budget, place)):
             c = raw(field, c)
-            for dchain, dargs, mm, t in differential_terms(tables, chain, args, m, budget):
-                key = (dchain, dargs, mm)
-                out[key] = out.get(key, 0) + c * t
-    return {key: v for key, c in out.items() if (v := c % p if p else c)}
+            for row, t in col.items():
+                out[row] = out.get(row, 0) + c * t
+    return {keys[row]: v for row, c in out.items() if (v := c % p if p else c)}
 
 
 def cochain_basis(
@@ -247,23 +307,23 @@ def cochain_basis(
 def _differential_columns(cat, mod, source, target, budget, tables=None) -> List[Vec]:
     """Sparse columns of ``d`` from the span of ``source`` keys to ``target`` keys.
 
-    Built from ``tables``, by default the normalized :func:`_tables`.  An
-    entry is a sum of raw numbers that :mod:`.linalg` reduces: it may be
-    zero or, over F_p, outside ``[0, p)``.  A term outside ``target`` raises.
+    Built from ``tables``, by default the normalized :func:`_tables`, one
+    :func:`_block_columns` per run of ``source`` keys on one ``(chain,
+    args)``.  An entry is a sum of raw numbers that :mod:`.linalg` reduces:
+    it may be zero or, over F_p, outside ``[0, p)``.  A term outside
+    ``target`` raises.
     """
     tables = tables or _tables(cat, mod, normalized=True)
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
     blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
               for pos, (chain, args, m) in enumerate(target) if m == 0}
+
+    def place(block):
+        return blocks.get(block, (0, 0))
+
     columns: List[Vec] = []
-    for chain, args, m in source:
-        col: Dict = {}
-        for dchain, dargs, mm, c in differential_terms(tables, chain, args, m, budget):
-            pos, size = blocks.get((dchain, dargs), (0, 0))
-            if mm >= size:
-                raise PreconditionViolation("differential left the normalized subcomplex")
-            col[pos + mm] = col.get(pos + mm, 0) + c
-        columns.append(col)
+    for (chain, args), keys in groupby(source, itemgetter(0, 1)):
+        columns += _block_columns(tables, chain, args, [m for _, _, m in keys], budget, place)
     return columns
 
 
@@ -347,8 +407,8 @@ def cocycle_space(
             chain, args, m = basis[j]
             data.setdefault((chain, args), {})[m] = c
         if into is not None:
-            data = _pulled_back(into, Cochain(work_cat, work_mod, degree, data))
-        out.append(Cochain(cat, mod, degree, data))
+            data = _pulled_back(into, Cochain._built(work_cat, work_mod, degree, data))
+        out.append(Cochain._built(cat, mod, degree, data))
     return out
 
 
@@ -359,7 +419,7 @@ def random_cochain(cat, mod, degree, rng) -> Cochain:
         c = rng.randint(-3, 3)
         if c:
             data.setdefault((chain, args), {})[m] = cat.field.of(c)
-    return Cochain(cat, mod, degree, data)
+    return Cochain._built(cat, mod, degree, data)
 
 
 def cup_with_identity(eta: Cochain, gamma: Algebra,
@@ -388,7 +448,7 @@ def restrict_along_functor(F: LinearFunctor, eta: Cochain) -> Cochain:
     operation commutes with the differentials on both sides.
     """
     mod = restricted_bimodule(F, eta.mod)
-    return Cochain(F.source, mod, eta.degree, _pulled_back(F, eta))
+    return Cochain._built(F.source, mod, eta.degree, _pulled_back(F, eta))
 
 
 def _pulled_back(F: LinearFunctor, eta: Cochain) -> Dict:

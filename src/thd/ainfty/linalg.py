@@ -3,9 +3,14 @@
 A matrix is a list of sparse columns ``{row: value}`` of field elements or raw
 numbers (:func:`raw`), as the Hochschild differential hands in: a few nonzeros
 per column among thousands of rows.  One routine, :class:`Echelon`, reduces the
-columns left to right and touches only the rows that hold a nonzero (in the
-spirit of Markowitz, 1957); rank, a nullspace basis and a particular solution
-all come out of it.  It reduces raw numbers, converted only at its boundary:
+columns left to right and touches only the rows that hold a nonzero; rank, a
+nullspace basis and a particular solution all come out of it.  It picks its
+pivots in the sparsest rows first, so that elimination writes fewer new
+nonzeros (Markowitz, 1957; LaMacchia and Odlyzko, 1991).  That row order is
+internal: which columns are free depends only on the column order, and the
+reduced-echelon kernel basis and the solution with every free variable zero
+are unique once they are fixed, so every output depends only on the order of
+the columns.  It reduces raw numbers, converted only at its boundary:
 ints in ``[0, p)`` over F_p, and over Q an int wherever the value is integral
 and a ``Fraction`` only otherwise.  Values leave as field elements.  Its one
 update, :func:`axpy`, also sums the Stasheff verifier's joins.
@@ -14,6 +19,7 @@ update, :func:`axpy`, also sums the Stasheff verifier's joins.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -79,6 +85,10 @@ def axpy(target: Vec, vec: Vec, scale, p: int) -> Vec:
 class Echelon:
     """Columns reduced left to right into an echelon form keyed by leading row.
 
+    The rows are relabelled by how many columns hold them, fewest first and
+    later rows first among equals; ``labels`` maps a row to its label, and
+    ``pivots`` and the residues of :meth:`reduce` are keyed by label.  A row
+    no column holds, as in a right-hand side, gets ``len(labels) + row``.
     A pivot is stored with its leading entry scaled to one, together with the
     combination of input columns that produces it (only pivot columns occur in
     those); with ``combos`` false, as for the rank, none is built.  A column
@@ -89,6 +99,10 @@ class Echelon:
 
     def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
         self.field, self.p = field, p = field, getattr(field, "p", 0)
+        counts = Counter()
+        for col in columns:
+            counts.update(col.keys())
+        self.labels = {r: i for i, r in enumerate(sorted(counts, key=lambda r: (counts[r], -r)))}
         self.pivots: Dict[int, tuple] = {}
         self.null: List[Vec] = []
         for j, col in enumerate(columns):
@@ -107,11 +121,12 @@ class Echelon:
     def reduce(self, col: Vec, combo: Optional[Vec]):
         """Subtract pivots from ``col`` until its leading row is no pivot's.
 
-        Returns the raw residue, zero exactly when ``col`` is in the span of
-        the pivots, and ``combo`` (or None) less the combinations subtracted.
+        Returns the raw residue, keyed by label and zero exactly when ``col``
+        is in the span of the pivots, and ``combo`` (or None) less the
+        combinations subtracted.
         """
-        p, field = self.p, self.field
-        vec = {r: v for r, c in col.items()
+        p, field, label, spare = self.p, self.field, self.labels.get, len(self.labels)
+        vec = {label(r, spare + r): v for r, c in col.items()
                if (v := (c % p if p else c) if type(c) is int else raw(field, c))}
         while vec:
             lead = min(vec)

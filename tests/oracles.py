@@ -29,7 +29,7 @@ from thd import (
     pullback_cohomology_dim,
     structure_sheaf_h0,
 )
-from thd.ainfty import Budget, Cochain, StasheffReport
+from thd.ainfty import Budget, Cochain, FiniteLinearCategory, StasheffReport
 from thd.ainfty.category import basis_vec, vclean
 from thd.ainfty.cochain import _differential_columns, differential_tables
 from thd.ainfty.linalg import exact_rank, multilinear, vadd
@@ -357,6 +357,37 @@ def per_key_hochschild_differential(f, budget=None):
     return Cochain(cat, mod, n + 1, out)
 
 
+def differential_terms(tables, chain, args, m, budget):
+    """The terms of ``d`` on the basis cochain with value ``e_m`` at ``(chain, args)``, key by key.
+
+    Yields ``(chain', args', m', c)`` with ``c`` raw, read from the library's
+    tables (``_tables``): prefix terms ``x . e_m`` from the left action, merge
+    terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix terms
+    ``(-1)^{n+1} e_m . x`` from the right action.  A key can occur more than
+    once; its terms are to be summed.  Charges ``budget`` once, one unit per
+    nonzero term (an action entry or a split), counted as the tables count.
+    The library's per-block walk must charge and emit the same.
+    """
+    left, splits, right = tables
+    n = len(args)
+    prefix, suffix = left.get((chain[0], chain[-1], m), ()), right.get((chain[0], chain[-1], m), ())
+    merges = [splits.get((chain[i], chain[i + 1], args[i]), (0, ())) for i in range(n)]
+    budget.charge(len(prefix) + len(suffix) + sum(count for count, _ in merges))
+    for a, x, vec in prefix:
+        dchain, dargs = (a,) + chain, (x,) + args
+        for mm, c in vec:
+            yield dchain, dargs, mm, c
+    for i, (_, pairs) in enumerate(merges):
+        for b, u, v, coeff in pairs:
+            yield (chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :],
+                   m, coeff if i % 2 else -coeff)
+    negate = n % 2 == 0
+    for c, x, vec in suffix:
+        dchain, dargs = chain + (c,), args + (x,)
+        for mm, t in vec:
+            yield dchain, dargs, mm, -t if negate else t
+
+
 def per_key_differential_columns(cat, mod, source, target, normalized, budget):
     """Sparse columns of ``d`` with one ``per_key_hochschild_differential`` per key."""
     index = {key: pos for pos, key in enumerate(target)}
@@ -435,6 +466,26 @@ def bar_hh_dimensions(cat, mod, up_to):
                         cat.field)
              for k in range(up_to + 1)]
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
+
+
+# Beilinson's tilting bundle O + O(1) + .. + O(m) on P^m, kept test-side as a
+# directed category with several objects: objects 0..m, hom(i, j) = S^{j-i} V
+# with the monomial basis, composition the product of monomials.
+
+
+def beilinson(m, field):
+    """The endomorphism category of Beilinson's bundle on P^m; identities are the monomial 1."""
+    one, objects = field.one, range(m + 1)
+    basis = {(i, j): _monomials(m + 1, j - i) for i in objects for j in objects if i <= j}
+    index = {key: {mono: k for k, mono in enumerate(monos)} for key, monos in basis.items()}
+    compose = {}
+    for a, b, c in product(objects, repeat=3):
+        if a <= b <= c:
+            compose[(a, b, c)] = {
+                (x, y): {index[(a, c)][tuple(s + t for s, t in zip(u, v))]: one}
+                for x, u in enumerate(basis[(a, b)]) for y, v in enumerate(basis[(b, c)])}
+    dims = {key: len(monos) for key, monos in basis.items()}
+    return FiniteLinearCategory(field, objects, dims, compose, {i: {0: one} for i in objects})
 
 
 # Second routes on the hypersurface side, kept as oracles for the closed

@@ -288,6 +288,71 @@ def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_co
     assert raw_cols == before
 
 
+# ---------------------------------------------------------------- row order
+def _permuted_rows(seed, nrows):
+    """A seeded permutation ``perm`` of the rows: row ``i`` moves to ``perm[i]``."""
+    perm = list(range(nrows))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
+def _solutions(columns, rhs_list, field):
+    return [solve(columns, rhs, field) for rhs in rhs_list]
+
+
+def assert_row_order_free(field, columns, rhs_list, nrows, ncols, seed):
+    """Rank, nullspace and solve on rows in a random order equal those on the
+    rows as given, value for value and type for type, and the dense oracles."""
+    perm = _permuted_rows(seed, nrows)
+    moved = [{perm[i]: c for i, c in col.items()} for col in columns]
+    moved_rhs = [{perm[i]: c for i, c in rhs.items()} for rhs in rhs_list]
+    rows = [[field.of(col.get(i, 0)) for col in columns] for i in range(nrows)]
+    moved_rows = [None] * nrows
+    for i, row in enumerate(rows):
+        moved_rows[perm[i]] = row
+    rank = exact_rank(columns, field)
+    assert exact_rank(moved, field) == rank == dense_rank(moved_rows) == dense_rank(rows)
+    basis, moved_basis = nullspace(columns, field), nullspace(moved, field)
+    assert moved_basis == basis
+    assert [[type(c) for c in v.values()] for v in moved_basis] == \
+        [[type(c) for c in v.values()] for v in basis]
+    assert [dense_vec(v, ncols, field) for v in moved_basis] == \
+        dense_nullspace(moved_rows, ncols, field)
+    got, moved_got = _solutions(columns, rhs_list, field), _solutions(moved, moved_rhs, field)
+    assert moved_got == got
+    for x, rhs in zip(moved_got, moved_rhs):
+        want = dense_solve(moved_rows, [field.of(rhs.get(i, 0)) for i in range(nrows)], ncols, field)
+        assert (x is None) == (want is None)
+        if x is not None:
+            assert dense_vec(x, ncols, field) == want
+            assert all(type(c) is element_type(field) for c in x.values())
+
+
+@pytest.mark.parametrize("field,rows,ncols", list(wide_cases()))
+def test_row_order_does_not_change_any_output_on_wide_cases(field, rows, ncols):
+    rng = random.Random(ncols * 7 + len(rows))
+    x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
+    image = {i: v for i, r in enumerate(rows)
+             if (v := sum((r[j] * x0[j] for j in range(ncols)), field.zero))}
+    other = {i: field.of(rng.randint(-2, 2)) for i in range(len(rows))}
+    assert_row_order_free(field, columns_of(rows, ncols), [image, other], len(rows), ncols,
+                          seed=len(rows) * 13 + ncols)
+
+
+@pytest.mark.parametrize("field,raw_cols,field_cols,nrows", list(raw_cases()))
+def test_row_order_does_not_change_any_output_on_raw_columns(field, raw_cols, field_cols, nrows):
+    rng = random.Random(nrows * 5 + len(raw_cols))
+    image = {}
+    for col in raw_cols:
+        scale = rng.randint(-3, 3)
+        for i, c in col.items():
+            image[i] = image.get(i, 0) + scale * c
+    other = {i: rng.randint(-40, 40) for i in range(nrows)}
+    for columns in (raw_cols, field_cols):
+        assert_row_order_free(field, columns, [image, other], nrows, len(raw_cols),
+                              seed=nrows * 11 + len(raw_cols))
+
+
 # ------------------------------------------------------------------- fields
 def test_division_from_the_left_by_field_elements():
     F = PrimeField(7)

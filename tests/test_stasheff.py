@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exhaustive_stasheff, per_key_hochschild_differential
+from oracles import differential_terms, exhaustive_stasheff, per_key_hochschild_differential
 from thd.ainfty import (
     AInfinityStructure,
     Budget,
@@ -28,7 +28,7 @@ from thd.ainfty import (
     tensor_with_algebra,
     verify_stasheff,
 )
-from thd.ainfty.cochain import _tables, differential_terms
+from thd.ainfty.cochain import _tables
 from thd.ainfty.examples import (
     dual_numbers,
     matrix_algebra,
