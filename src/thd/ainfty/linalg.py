@@ -99,10 +99,10 @@ class Echelon:
 
     def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
         self.field, self.p = field, p = field, getattr(field, "p", 0)
-        counts = Counter()
-        for col in columns:
-            counts.update(col.keys())
-        self.labels = {r: i for i, r in enumerate(sorted(counts, key=lambda r: (counts[r], -r)))}
+        counts = Counter(itertools.chain.from_iterable(columns))
+        rows = sorted(counts, reverse=True)
+        rows.sort(key=counts.__getitem__)  # stable: later rows stay first among equals
+        self.labels = dict(zip(rows, range(len(rows))))
         self.pivots: Dict[int, tuple] = {}
         self.null: List[Vec] = []
         for j, col in enumerate(columns):
