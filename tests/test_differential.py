@@ -116,7 +116,9 @@ def test_differential_of_random_cochains_matches_the_oracle(name, field):
         for degree in range(4):
             f = (random_cochain if normalized else random_bar_cochain)(cat, mod, degree, rng)
             budget = Budget()
-            assert hochschild_differential(f, budget) == per_key_hochschild_differential(f)
+            df = hochschild_differential(f, budget)
+            assert df == per_key_hochschild_differential(f)
+            assert {type(c) for vec in df.data.values() for c in vec.values()} <= {type(field.one)}
             # one charge per nonzero term of every basis entry of f
             per_entry = Budget()
             for (chain, args), vec in f.data.items():
@@ -224,20 +226,6 @@ def test_a_cochain_value_past_the_bimodule_raises_in_its_coboundary():
     f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {2: QQ.one}})
     with pytest.raises(PreconditionViolation, match="differential left the"):
         hochschild_differential(f)
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_coboundaries_of_several_blocks_sum_on_shared_targets(field):
-    # the raw coboundary gives each target its rows once, the first time a
-    # block reaches it; blocks that reach it later add into the same rows
-    rng = random.Random(3)
-    cat, mod = _category("pipeline", field)
-    for degree in range(4):
-        f = random_cochain(cat, mod, degree, rng)
-        df = hochschild_differential(f)
-        want = per_key_hochschild_differential(f)
-        assert df == want and set(df.data) == set(want.data)
-        assert {type(c) for vec in df.data.values() for c in vec.values()} <= {type(field.one)}
 
 
 # terms the normalized assembly emits and budget units it charges on the

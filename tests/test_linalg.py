@@ -289,39 +289,29 @@ def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_co
 
 
 # ---------------------------------------------------------------- row order
-def _permuted_rows(seed, nrows):
-    """A seeded permutation ``perm`` of the rows: row ``i`` moves to ``perm[i]``."""
-    perm = list(range(nrows))
-    random.Random(seed).shuffle(perm)
-    return perm
-
-
-def _solutions(columns, rhs_list, field):
-    return [solve(columns, rhs, field) for rhs in rhs_list]
-
-
 def assert_row_order_free(field, columns, rhs_list, nrows, ncols, seed):
-    """Rank, nullspace and solve on rows in a random order equal those on the
-    rows as given, value for value and type for type, and the dense oracles."""
-    perm = _permuted_rows(seed, nrows)
+    """Rank, nullspace and solve on the rows in a seeded random order equal
+    those on the rows as given, value for value and type for type, and the
+    dense oracles."""
+    perm = list(range(nrows))  # row i moves to perm[i]
+    random.Random(seed).shuffle(perm)
     moved = [{perm[i]: c for i, c in col.items()} for col in columns]
     moved_rhs = [{perm[i]: c for i, c in rhs.items()} for rhs in rhs_list]
-    rows = [[field.of(col.get(i, 0)) for col in columns] for i in range(nrows)]
     moved_rows = [None] * nrows
-    for i, row in enumerate(rows):
-        moved_rows[perm[i]] = row
-    rank = exact_rank(columns, field)
-    assert exact_rank(moved, field) == rank == dense_rank(moved_rows) == dense_rank(rows)
+    for i in range(nrows):
+        moved_rows[perm[i]] = [field.of(col.get(i, 0)) for col in columns]
+    assert exact_rank(moved, field) == exact_rank(columns, field) == dense_rank(moved_rows)
     basis, moved_basis = nullspace(columns, field), nullspace(moved, field)
     assert moved_basis == basis
     assert [[type(c) for c in v.values()] for v in moved_basis] == \
         [[type(c) for c in v.values()] for v in basis]
     assert [dense_vec(v, ncols, field) for v in moved_basis] == \
         dense_nullspace(moved_rows, ncols, field)
-    got, moved_got = _solutions(columns, rhs_list, field), _solutions(moved, moved_rhs, field)
-    assert moved_got == got
-    for x, rhs in zip(moved_got, moved_rhs):
-        want = dense_solve(moved_rows, [field.of(rhs.get(i, 0)) for i in range(nrows)], ncols, field)
+    for rhs, moved_b in zip(rhs_list, moved_rhs):
+        x = solve(moved, moved_b, field)
+        assert x == solve(columns, rhs, field)
+        want = dense_solve(moved_rows, [field.of(moved_b.get(i, 0)) for i in range(nrows)],
+                           ncols, field)
         assert (x is None) == (want is None)
         if x is not None:
             assert dense_vec(x, ncols, field) == want
