@@ -10,6 +10,10 @@ canonical twist ``t = d - n - 2``:
 * ``kernel_dim``: the kernel of the pushforward map ``f_*`` on ``HH^m``,
   which picks out the interior of the middle line.
 
+The first two are computed a whole degree vector at a time: one walk over
+the support cells of the table for a twist adds each cell into its column,
+and the vector is cached per ``(n, d, p)``.
+
 The long exact sequence relating the three is mechanized as a rank
 propagation ledger (:func:`les_ledger`); it serves as the independent oracle
 for the closed-form kernel dimensions.
@@ -27,12 +31,8 @@ from .hodge import Hypersurface, _hodge
 TARGETS = ("onX", "pushforward", "kernel")
 
 
-def _degenerate_twist(X: Hypersurface, p: int) -> bool:
-    return X.t - p in (0, X.d)
-
-
 def _require_nondegenerate_twist(X: Hypersurface, p: int) -> None:
-    if _degenerate_twist(X, p):
+    if X.t - p in (0, X.d):
         raise PreconditionViolation(
             f"t - p = {X.t - p} lies in {{0, d}} for (n, d, p) = ({X.n}, {X.d}, {p}); "
             "the kernel formula drops Kronecker-delta corrections that enter "
@@ -41,21 +41,22 @@ def _require_nondegenerate_twist(X: Hypersurface, p: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _hh_on_X(n: int, d: int, p: int, m: int) -> int:
-    """The column ``j = i - m + n`` of the ``(t-p)``-diamond, summed over its support cells.
+def _hh_on_X(n: int, d: int, p: int) -> Tuple[int, ...]:
+    """``dim HH^m(X, O_X(p))`` for ``m = 0 .. 2n``, in one walk over the ``(t-p)``-diamond.
 
-    It meets ``j = 0``, ``j = n`` and ``i + j = n`` at ``i = m - n``, ``m`` and ``m / 2``, and
-    runs along ``i = j`` only when ``m = n``; a diamond is 0 off these loci."""
-    if m < 0 or m > 2 * n:
-        return 0
+    Degree ``m`` is the column ``j = i - m + n``, so each support cell ``j in {0, n, n-i, i}``
+    of row ``i`` adds into ``m = i - j + n``; a diamond is 0 off these loci."""
     tp = d - n - 2 - p
-    rows = range(n + 1) if m == n else {m - n, m} | ({m // 2} if m % 2 == 0 else set())
-    return sum(_hodge(n, d, tp, i, i - m + n) for i in rows if max(0, m - n) <= i <= min(n, m))
+    dims = [0] * (2 * n + 1)
+    for i in range(n + 1):
+        for j in {0, n, n - i, i}:
+            dims[i - j + n] += _hodge(n, d, tp, i, j)
+    return tuple(dims)
 
 
 def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
     """``dim HH^m(X, O_X(p))`` as an anti-diagonal sum over the (t-p)-diamond."""
-    return _hh_on_X(X.n, X.d, p, m)
+    return _hh_on_X(X.n, X.d, p)[m] if 0 <= m <= 2 * X.n else 0
 
 
 def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
@@ -94,16 +95,19 @@ def _pullback(n: int, d: int, p: int, i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _hh_push(n: int, d: int, p: int, m: int) -> int:
-    """The column ``j = n - m + i`` of pullback dimensions at ``t - p``, summed over its support.
+def _hh_push(n: int, d: int, p: int) -> Tuple[int, ...]:
+    """``dim HH^m(P^{n+1}, f_* O_X(p))`` for ``m = 0 .. 2n+1``,
+    in one walk over the pullback dimensions at ``t - p``.
 
-    It meets ``j = 0`` and ``j = n`` at ``i = m - n`` and ``m``, and runs along the loci
-    ``i = j`` and ``i - 1 = j`` only when ``m = n`` and ``m = n + 1``; all else is 0."""
-    if m < 0 or m > 2 * n + 1:
-        return 0
+    Degree ``m`` is the column ``j = n - m + i``, so each support cell ``j in {0, n, i, i-1}``
+    of row ``i`` adds into ``m = n + i - j``; the table is 0 off these loci."""
     tp = d - n - 2 - p
-    rows = range(n + 2) if m in (n, n + 1) else {m - n, m}
-    return sum(_pullback(n, d, tp, i, n - m + i) for i in rows)
+    dims = [0] * (2 * n + 2)
+    for i in range(n + 2):
+        for j in {0, n, i, i - 1}:
+            if 0 <= j <= n:
+                dims[n + i - j] += _pullback(n, d, tp, i, j)
+    return tuple(dims)
 
 
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
@@ -112,7 +116,7 @@ def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
     Requires ``t - p`` outside ``{0, d}``, as :func:`kernel_dim` does.
     """
     _require_nondegenerate_twist(X, p)
-    return _hh_push(X.n, X.d, p, m)
+    return _hh_push(X.n, X.d, p)[m] if 0 <= m <= 2 * X.n + 1 else 0
 
 
 def kernel_dim(X: Hypersurface, p: int, m: int) -> int:
@@ -159,8 +163,12 @@ def hochschild_profile(X: Hypersurface, p: int, target: str) -> HochschildProfil
         raise PreconditionViolation(f"unknown target {target!r}; expected one of {TARGETS}")
     if target != "onX":
         _require_nondegenerate_twist(X, p)
-    core = {"onX": _hh_on_X, "pushforward": _hh_push, "kernel": _kernel}[target]
-    dims = {m: core(X.n, X.d, p, m) for m in range(0, 2 * X.n + 2)}
+    n, d = X.n, X.d
+    if target == "kernel":
+        dims = {m: _kernel(n, d, p, m) for m in range(0, 2 * n + 2)}
+    else:
+        vector = _hh_on_X(n, d, p) + (0,) if target == "onX" else _hh_push(n, d, p)  # HH^{2n+1}(X) = 0
+        dims = dict(enumerate(vector))
     return HochschildProfile(X, p, target, dims)
 
 
@@ -209,11 +217,9 @@ def les_ledger(X: Hypersurface, p: int) -> ExactSequenceLedger:
     """
     _require_nondegenerate_twist(X, p)
     n, d = X.n, X.d
-    terms: List[Tuple[str, int, int]] = []
-    for i in range(0, 2 * n + 3):
-        terms.append(("A", i, _hh_on_X(n, d, p + d, i - 2)))
-        terms.append(("B", i, _hh_on_X(n, d, p, i)))
-        terms.append(("C", i, _hh_push(n, d, p, i)))  # the twist is checked above
+    # the three degree vectors, padded to i = 0 .. 2n+2; the twist is checked above
+    columns = zip((0, 0) + _hh_on_X(n, d, p + d), _hh_on_X(n, d, p) + (0, 0), _hh_push(n, d, p) + (0,))
+    terms = [(label, i, dim) for i, dims in enumerate(columns) for label, dim in zip("ABC", dims)]
     ranks = propagate_ranks([dim for (_, _, dim) in terms])
     kernels: Dict[int, int] = {}
     for k, (label, i, _) in enumerate(terms):
@@ -247,11 +253,12 @@ def candidate_search(
     for n in sorted(set(n_range)):
         m = n + 3
         for d in d_values:
-            X = Hypersurface(n, d)
+            Hypersurface(n, d)  # checks n, d >= 1
+            t = d - n - 2
             for p in p_values:
-                if _degenerate_twist(X, p):
+                if t - p in (0, d):
                     rows.append(
-                        SearchRow(n, d, p, m, None, skipped=True, reason=f"t-p = {X.t - p} degenerate")
+                        SearchRow(n, d, p, m, None, skipped=True, reason=f"t-p = {t - p} degenerate")
                     )
                     continue
                 rows.append(SearchRow(n, d, p, m, _kernel(n, d, p, m)))

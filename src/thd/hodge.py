@@ -12,10 +12,11 @@ diagonal ``i = j``.  Each locus has its own exact evaluation:
 * anti-diagonal ("middle line"): one coefficient of the Hilbert series
   ``A = (1 + z + ... + z^{d-2})^{n+2}`` of the Jacobian ring of a degree-``d``
   form in ``n + 2`` variables (Griffiths, Ann. of Math. 90, 1969), computed
-  once per ``(n, d)`` by the four-term recurrence that
+  once per ``(n, d)``: the first half by the four-term recurrence that
   ``A' (1 - z)(1 - z^q) = N A (1 - q z^{q-1} + (q-1) z^q)`` gives
-  (``q = d - 1``, ``N = n + 2``), plus a Kronecker delta at ``p = 0`` on the
-  central entry;
+  (``q = d - 1``, ``N = n + 2``), the second half by the Gorenstein symmetry
+  of the Jacobian ring, plus a Kronecker delta at ``p = 0`` on the central
+  entry;
 * diagonal away from the corners and the center: ``delta_{p,0}``;
 * corners: section counts of twists of the structure sheaf, via the Koszul
   resolution on the ambient space and Serre duality;
@@ -28,7 +29,9 @@ diagonal ``i = j``.  Each locus has its own exact evaluation:
 
 Every evaluation is a loop (the ``n = 3`` edge correction makes one nested
 call), so the cost of a diamond is linear in ``n`` for a fixed twist and no
-dimension fails on recursion depth.
+dimension fails on recursion depth.  :func:`diamond` fills each locus
+straight from its evaluation; :func:`hodge_number` dispatches one cell at a
+time through the case table ``_hodge``, with the same precedence.
 
 The public functions take a :class:`Hypersurface`, which checks ``n, d >= 1``;
 the core below them (``_hodge``, ``_h0``, the cached helpers) takes ``(n, d)``.
@@ -166,15 +169,21 @@ def _jacobian_series(n: int, d: int) -> tuple:
     ``A' (1 - z)(1 - z^q) = N A (1 - q z^{q-1} + (q-1) z^q)``.  Its ``z^{k-1}``
     coefficients give ``a_0 = 1`` and, with ``a_j = 0`` for ``j < 0``, exactly
     ``k a_k = (k-1+N) a_{k-1} + (k-q-Nq) a_{k-q} + (N(q-1) - (k-q-1)) a_{k-q-1}``.
+
+    The ring is Gorenstein with socle in degree ``L = N(q-1)``, so its Hilbert
+    function is symmetric, ``a_k = a_{L-k}`` (Stanley, Adv. Math. 28, 1978):
+    the recurrence runs up to ``L // 2`` and the rest is the mirror image.
     """
     if d == 1:
         return ()
     q, N = d - 1, n + 2
+    L = N * (q - 1)
     a = [0] * q + [1]  # q leading zeros stand for a_{-q} .. a_{-1}
-    for k in range(1, N * (q - 1) + 1):
+    for k in range(1, L // 2 + 1):
         a.append(((k - 1 + N) * a[-1] + (k - q - N * q) * a[-q]
                   + (N * (q - 1) - (k - q - 1)) * a[-q - 1]) // k)
-    return tuple(a[q:])
+    half = a[q:]
+    return tuple(half + half[:L - L // 2][::-1])
 
 
 @lru_cache(maxsize=None)
@@ -314,12 +323,20 @@ class TwistedHodgeDiamond:
 def diamond(X: Hypersurface, p: int) -> TwistedHodgeDiamond:
     """The ``p``-twisted Hodge diamond of ``X``.
 
-    Only the support cells ``j in {0, n, n - i, i}`` of each row are
-    evaluated; every other entry is 0.
+    Each support locus is filled from its own evaluation, with the same
+    precedence as :func:`hodge_number`: the corners from section counts, the
+    edges from :func:`_edge_h0`, the middle line from :func:`_middle` (over
+    the diagonal delta at the center).  Every other entry is 0.
     """
     n, d = X.n, X.d
+    t = d - n - 2
     rows = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in {0, n, n - i, i}:
-            rows[i][j] = _hodge(n, d, p, i, j)
+    rows[0][0], rows[0][n] = _h0(n, d, p), _h0(n, d, t - p)
+    rows[n][0], rows[n][n] = _h0(n, d, t + p), _h0(n, d, -p)
+    for i in range(1, n):
+        row = rows[i]
+        row[0], row[n] = _edge_h0(n, d, i, p), _edge_h0(n, d, n - i, -p)
+        if p == 0:
+            row[i] = 1
+        row[n - i] = _middle(n, d, p, i)
     return TwistedHodgeDiamond(X, p, tuple(map(tuple, rows)))

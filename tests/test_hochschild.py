@@ -1,4 +1,5 @@
 import collections
+from pathlib import Path
 
 import pytest
 
@@ -55,9 +56,12 @@ def test_support_column_sums_match_the_full_columns():
         for d in range(1, 10):
             X = Hypersurface(n, d)
             for p in range(-40, 21):
+                push = _hh_push(n, d, p)
+                assert len(push) == 2 * n + 2
                 for m in range(-1, 2 * n + 3):
                     assert hh_dim_on_X(X, p, m) == full_column_hh_on_X(X, p, m), (n, d, p, m)
-                    assert _hh_push(n, d, p, m) == full_column_hh_push(X, p, m), (n, d, p, m)
+                    pushed = push[m] if 0 <= m < len(push) else 0
+                    assert pushed == full_column_hh_push(X, p, m), (n, d, p, m)
 
 
 def test_canonical_twist_delta_contributions():
@@ -320,3 +324,58 @@ def test_the_twist_is_checked_once_per_table(monkeypatch):
     for table in (lambda: kernel_table(X57, 0), lambda: hochschild_profile(X57, -7, "pushforward")):
         with pytest.raises(PreconditionViolation, match=r"^t - p = (0|7) lies in \{0, d\} for"):
             table()
+
+
+def test_the_ledger_makes_one_pass_per_twist(monkeypatch):
+    # one walk over each support cell, not one column sum per degree
+    X = Hypersurface(5, 7)
+    _clear_thd_caches()
+    hodge_calls, pullback_calls = collections.Counter(), collections.Counter()
+    hodge, pullback = thd.hochschild._hodge, thd.hochschild._pullback
+
+    def counted_hodge(n, d, p, i, j):
+        hodge_calls[p, i, j] += 1
+        return hodge(n, d, p, i, j)
+
+    def counted_pullback(n, d, p, i, j):
+        pullback_calls[p, i, j] += 1
+        return pullback(n, d, p, i, j)
+
+    monkeypatch.setattr(thd.hochschild, "_hodge", counted_hodge)
+    monkeypatch.setattr(thd.hochschild, "_pullback", counted_pullback)
+    ledger = les_ledger(X, -8)
+    n, tp = 5, X.t + 8  # the (t-p)-diamond is twist 8, the (t-p-d)-diamond twist 1
+    diamond_support = {(i, j) for i in range(n + 1) for j in (0, n, n - i, i)}
+    pullback_support = {(i, j) for i in range(n + 2) for j in (0, n, i, i - 1) if 0 <= j <= n}
+    assert len(diamond_support) == 20 and len(pullback_support) == 22
+    assert set(hodge_calls) == {(q, i, j) for q in (tp, tp - X.d) for i, j in diamond_support}
+    # once from the walk of the diamond, and once more where a pullback entry reads the cell
+    assert sum(hodge_calls.values()) == 66 and set(hodge_calls.values()) == {1, 2}
+    assert pullback_calls == collections.Counter((tp, i, j) for i, j in pullback_support)
+    assert thd.hochschild._hh_on_X.cache_info().misses == 2
+    assert thd.hochschild._hh_push.cache_info().misses == 1
+    assert ledger.kernel_of_fstar[8] == 20993
+
+
+def test_the_curve_ledger_failures_do_not_move():
+    # ROADMAP item 6: the ledger is inconsistent on curves; which twists fail, and how, is pinned
+    pinned = {}
+    for line in (Path(__file__).parent / "data" / "curve_ledger_failures.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            d, p, message = line.split(" ", 2)
+            pinned[int(d), int(p)] = message
+    failures, passed = {}, []
+    for d in range(1, 9):
+        X = Hypersurface(1, d)
+        for p in range(-40, 15):
+            if X.t - p in (0, d):
+                continue
+            try:
+                les_ledger(X, p)
+            except ExactnessViolation as e:
+                failures[d, p] = str(e)
+            else:
+                passed.append((d, p))
+    assert len(failures) == 420 and passed == [(2, -2), (4, -1), (6, 0), (8, 1)]
+    assert failures[3, -5] == "negative rank -15 after term 5 (dims [0, 0, 0, 0, 15, 0])"
+    assert failures == pinned

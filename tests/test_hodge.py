@@ -248,6 +248,43 @@ def test_jacobian_series_matches_millers_recurrence():
             assert _jacobian_series(n, d) == miller_jacobian_series(n, d), (n, d)
 
 
+def test_jacobian_series_mirror_boundaries():
+    # the recurrence fills a_0 .. a_{L//2} and the Gorenstein symmetry a_k = a_{L-k} the rest
+    for n in range(1, 6):
+        assert _jacobian_series(n, 1) == ()
+        assert _jacobian_series(n, 2) == (1,)
+    assert _jacobian_series(1, 3) == (1, 3, 3, 1)  # L = 3, odd
+    assert _jacobian_series(2, 3) == (1, 4, 6, 4, 1)  # L = 4, even
+    assert _jacobian_series(1, 4) == (1, 3, 6, 7, 6, 3, 1)  # L = 6, q = 3
+    parities = set()
+    for n in range(1, 16):
+        for d in range(2, 12):
+            series, L = _jacobian_series(n, d), (n + 2) * (d - 2)
+            parities.add(L % 2)
+            assert len(series) == L + 1, (n, d)
+            assert all(series[k] == series[L - k] for k in range(L + 1)), (n, d)
+    assert parities == {0, 1}
+    assert _jacobian_series(200, 5) == miller_jacobian_series(200, 5)
+
+
+def test_diamond_matches_hodge_number_cell_by_cell():
+    # diamond fills each locus from its own helper; hodge_number goes through the per-cell case table
+    cases = [(n, d, range(-40, 21)) for n in range(1, 13) for d in range(1, 10)]
+    cases += [(120, 5, (-7, 7)), (200, 5, (-7, 7))]
+    for n, d, twists in cases:
+        X = Hypersurface(n, d)
+        for p in twists:
+            cells = tuple(tuple(hodge_number(X, p, i, j) for j in range(n + 1)) for i in range(n + 1))
+            assert diamond(X, p).entries == cells, (n, d, p)
+    # the center of an even n carries the middle-line value, delta included at p = 0
+    assert diamond(Hypersurface(2, 4), 0).entries[1][1] == 20
+    assert diamond(Hypersurface(4, 3), 0).entries[2][2] == _jacobian_series(4, 3)[3] + 1 == 21
+    # the pinned n = 3 edge at (i, q) = (2, d), and its Serre dual at (1, 3) for p = -d
+    for d in range(1, 10):
+        assert diamond(Hypersurface(3, d), d).entries[2][0] == recursive_edge_h0(3, d, 2, d), d
+        assert diamond(Hypersurface(3, d), -d).entries[1][3] == recursive_edge_h0(3, d, 2, d), d
+
+
 def test_edges_match_the_recursion():
     for n, d, twists in ORACLE_GRID:
         X = Hypersurface(n, d)
