@@ -22,7 +22,11 @@ in the same block for every ``m`` whose action entry reaches it, so the walk
 looks each target block up once per source block.  The matrix of ``d`` is
 these columns, which :mod:`.linalg` reduces; their linear extension, summed
 on raw numbers, is :func:`_coboundary`, which ``deform`` tests for zero and
-:func:`hochschild_differential` exports as a :class:`Cochain`.
+:func:`hochschild_differential` exports as a :class:`Cochain`.  Indices are
+checked once, where they enter: a :class:`Cochain` refuses a key or a target
+outside its category and bimodule, and the tables refuse an action output or
+a product of arrows past its space, so a term past its block raises there and
+the walk itself checks nothing.
 
 Cochain spaces are enumerated in one model, the normalized subcomplex of
 cochains vanishing on identity arguments (Loday, *Cyclic Homology*, ch. 1),
@@ -70,21 +74,21 @@ class Cochain:
         self.mod = mod
         self.degree = degree
         self.data: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
-        for key, vec in (data or {}).items():
-            vec = vclean(vec)
-            if vec:
-                self._check_key(*key)
-                self.data[key] = vec
+        for (chain, args), vec in (data or {}).items():
+            self._check_key(chain, args, vec)
+            if vec := vclean(vec):
+                self.data[(chain, args)] = vec
 
     @classmethod
     def _built(cls, cat, mod, degree: int, data: Dict) -> "Cochain":
-        """A cochain on keys the library made to fit ``degree``: zeros dropped, keys not re-checked."""
+        """A cochain on keys and targets the library made to fit: zeros dropped, nothing re-checked."""
         self = cls.__new__(cls)
         self.cat, self.mod, self.degree = cat, mod, degree
         self.data = {key: vec for key, vec in ((k, vclean(v)) for k, v in data.items()) if vec}
         return self
 
-    def _check_key(self, chain: Tuple, args: Tuple[int, ...]) -> None:
+    def _check_key(self, chain: Tuple, args: Tuple[int, ...], vec: Vec) -> None:
+        """Refuse a component off its degree, an argument past its hom, or a target past ``M``."""
         if len(chain) != self.degree + 1 or len(args) != self.degree:
             raise PreconditionViolation(
                 f"component on chain {chain} with {len(args)} arguments does not "
@@ -93,7 +97,12 @@ class Cochain:
         for k in range(self.degree):
             if not 0 <= args[k] < self.cat.dim(chain[k], chain[k + 1]):
                 raise PreconditionViolation(
-                    f"argument {args[k]} out of range for hom({chain[k]!r},{chain[k+1]!r})"
+                    f"argument index {args[k]} out of range for hom({chain[k]!r},{chain[k+1]!r})"
+                )
+        for m in vec:
+            if not 0 <= m < self.mod.dim(chain[0], chain[-1]):
+                raise PreconditionViolation(
+                    f"target index {m} out of range for M({chain[0]!r},{chain[-1]!r})"
                 )
 
     def component(self, chain: Tuple, args: Tuple[int, ...]) -> Vec:
@@ -125,9 +134,11 @@ class Cochain:
         return (
             isinstance(other, Cochain)
             and self.degree == other.degree
-            and {k: vclean(v) for k, v in self.data.items() if vclean(v)}
-            == {k: vclean(v) for k, v in other.data.items() if vclean(v)}
+            and self.data == other.data  # both hold only nonzero values
         )
+
+
+_LEFT = "differential left the normalized subcomplex"
 
 
 def differential_tables(cat: FiniteLinearCategory, mod: CentralBimodule):
@@ -144,7 +155,10 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     ``u: a->b`` and ``v: b->c`` whose product has ``coeff e_k``, ``count`` how many there are.
     Not cached: tensors can change.  ``normalized`` checks the unit laws and
     drops the terms of ``id . e_m``, ``e_m . id`` and the splits ``(id, k)``
-    and ``(k, id)``, still counted: an action entry keeps its place.
+    and ``(k, id)``, still counted: an action entry keeps its place.  An
+    action output past its bimodule space, or a product of arrows past their
+    hom spaces, raises here, so every term of :func:`_block_columns` lands in
+    its target block.
     """
     field = cat.field
     units = {a: cat.id_basis_index(a) for a in cat.objects if normalized and cat.dim(a, a)}
@@ -154,22 +168,28 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     if bad:
         raise PreconditionViolation("an identity does not act as one on basis element {2} of "
                                     "({0!r}, {1!r}), so d left the normalized subcomplex".format(*bad))
-    def raws(vec):
-        return [(k, c) for k, c in ((k, raw(field, c)) for k, c in vec.items()) if c]
+
+    def raws(vec, size):
+        out = [(k, c) for k, c in ((k, raw(field, c)) for k, c in vec.items()) if c]
+        if not all(0 <= k < size for k, _ in out):
+            raise PreconditionViolation(_LEFT)
+        return out
     left, right = {}, {}
     for (a, x0, xn), table in mod.left.items():
         for (x, m), vec in table.items():
             if x < cat.dim(a, x0) and any(vec.values()):
                 left.setdefault((x0, xn, m), []).append(
-                    (a, x, [] if (a, x) == (x0, units.get(a)) else raws(vec)))
+                    (a, x, [] if (a, x) == (x0, units.get(a)) else raws(vec, mod.dim(a, xn))))
     for (x0, xn, c), table in mod.right.items():
         for (m, x), vec in table.items():
             if x < cat.dim(xn, c) and any(vec.values()):
                 right.setdefault((x0, xn, m), []).append(
-                    (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec)))
+                    (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec, mod.dim(x0, c))))
     splits: Dict = {}
     for (a, b, c), pairs in cat.compose.items():
         for (u, v), vec in pairs.items():
+            if any(vec.values()) and not (0 <= u < cat.dim(a, b) and 0 <= v < cat.dim(b, c)):
+                raise PreconditionViolation(_LEFT)
             for k, coeff in vec.items():
                 if coeff:
                     entry = splits.setdefault((a, c, k), [0, []])
@@ -179,19 +199,16 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     return left, splits, right
 
 
-_LEFT = "differential left the normalized subcomplex"
-
-
 def _block_columns(tables, chain: Tuple, args: Tuple[int, ...], ms, budget: Budget, place):
     """The columns of ``d`` on the basis cochains ``e_m`` at ``(chain, args)``, one per ``m`` in ``ms``.
 
     Read from the tables of :func:`_tables`: prefix terms ``x . e_m`` from the
     left action, merge terms ``(-1)^{i+1} coeff e_m`` from the splits, suffix
     terms ``(-1)^{n+1} e_m . x`` from the right action.  ``place((chain',
-    args'))`` gives ``(pos, size)``: where the target block's ``e_0`` sits and
-    the dimension of the bimodule there, ``(0, 0)`` for no block; it is asked
-    once per target of the block, so a column maps ``pos + m'`` to an unreduced
-    sum of raw numbers.  A term past its block raises.  Charges ``budget`` per
+    args'))`` gives where the target block's ``e_0`` sits; it is asked once
+    per target of the block, so a column maps ``pos + m'`` to an unreduced
+    sum of raw numbers.  Every term lands in its block: the tables and the
+    cochain keys were checked where they were built.  Charges ``budget`` per
     ``m``, one unit per nonzero term (an action entry or a split), counted as
     the tables count.
     """
@@ -202,41 +219,29 @@ def _block_columns(tables, chain: Tuple, args: Tuple[int, ...], ms, budget: Budg
     sides = [(m, left.get((x0, xn, m), ()), right.get((x0, xn, m), ())) for m in ms]
     for _, prefix, suffix in sides:
         budget.charge(len(prefix) + len(suffix) + merged)
-    top = max(ms, default=-1)
     # a merge term lands on the same m of the same target for every m
-    across = []
-    for i, (_, pairs) in enumerate(merges):
-        for b, u, v, coeff in pairs:
-            pos, size = place((chain[: i + 1] + (b,) + chain[i + 1 :],
-                               args[:i] + (u, v) + args[i + 1 :]))
-            if top >= size:
-                raise PreconditionViolation(_LEFT)
-            across.append((pos, coeff if i % 2 else -coeff))
+    across = [(place((chain[: i + 1] + (b,) + chain[i + 1 :], args[:i] + (u, v) + args[i + 1 :])),
+               coeff if i % 2 else -coeff)
+              for i, (_, pairs) in enumerate(merges) for b, u, v, coeff in pairs]
     starts, ends, columns = {}, {}, []
     negate = n % 2 == 0
     for m, prefix, suffix in sides:
         col: Dict = {}
         for a, x, vec in prefix:
             if vec:
-                spot = starts.get((a, x))
-                if spot is None:
-                    spot = starts[(a, x)] = place(((a,) + chain, (x,) + args))
-                pos, size = spot
+                pos = starts.get((a, x))
+                if pos is None:
+                    pos = starts[(a, x)] = place(((a,) + chain, (x,) + args))
                 for mm, c in vec:
-                    if mm >= size:
-                        raise PreconditionViolation(_LEFT)
                     col[pos + mm] = col.get(pos + mm, 0) + c
         for pos, c in across:
             col[pos + m] = col.get(pos + m, 0) + c
         for c, x, vec in suffix:
             if vec:
-                spot = ends.get((c, x))
-                if spot is None:
-                    spot = ends[(c, x)] = place((chain + (c,), args + (x,)))
-                pos, size = spot
+                pos = ends.get((c, x))
+                if pos is None:
+                    pos = ends[(c, x)] = place((chain + (c,), args + (x,)))
                 for mm, t in vec:
-                    if mm >= size:
-                        raise PreconditionViolation(_LEFT)
                     col[pos + mm] = col.get(pos + mm, 0) + (-t if negate else t)
         columns.append(col)
     return columns
@@ -265,12 +270,12 @@ def _coboundary(f: Cochain, budget: Optional[Budget] = None) -> Dict:
     keys: List = []  # keys[row] is the (chain, args, m) of a row
 
     def place(target):
-        spot = index.get(target)
-        if spot is None:
+        pos = index.get(target)
+        if pos is None:
             chain, args = target
-            spot = index[target] = (len(keys), mod.dim(chain[0], chain[-1]))
-            keys.extend((chain, args, m) for m in range(spot[1]))
-        return spot
+            pos = index[target] = len(keys)
+            keys.extend((chain, args, m) for m in range(mod.dim(chain[0], chain[-1])))
+        return pos
 
     out: Dict = {}
     for (chain, args), vec in f.data.items():
@@ -310,20 +315,15 @@ def _differential_columns(cat, mod, source, target, budget, tables=None) -> List
     Built from ``tables``, by default the normalized :func:`_tables`, one
     :func:`_block_columns` per run of ``source`` keys on one ``(chain,
     args)``.  An entry is a sum of raw numbers that :mod:`.linalg` reduces:
-    it may be zero or, over F_p, outside ``[0, p)``.  A term outside
-    ``target`` raises.
+    it may be zero or, over F_p, outside ``[0, p)``.
     """
     tables = tables or _tables(cat, mod, normalized=True)
     # cochain_basis emits the keys of each (chain, args) contiguously, m = 0 first
-    blocks = {(chain, args): (pos, mod.dim(chain[0], chain[-1]))
-              for pos, (chain, args, m) in enumerate(target) if m == 0}
-
-    def place(block):
-        return blocks.get(block, (0, 0))
-
+    blocks = {(chain, args): pos for pos, (chain, args, m) in enumerate(target) if m == 0}
     columns: List[Vec] = []
     for (chain, args), keys in groupby(source, itemgetter(0, 1)):
-        columns += _block_columns(tables, chain, args, [m for _, _, m in keys], budget, place)
+        columns += _block_columns(tables, chain, args, [m for _, _, m in keys], budget,
+                                  blocks.__getitem__)
     return columns
 
 

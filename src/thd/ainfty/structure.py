@@ -34,6 +34,7 @@ from .category import (
     Vec,
     _gamma_products,
     _lift,
+    _unit_failure,
     basis_vec,
     tensor_category,
     tensor_vec,
@@ -52,9 +53,10 @@ class AInfinityStructure:
         self.field = field
         self.objects = tuple(objects)
         self.basis: Dict[Tuple, Tuple[int, ...]] = {k: tuple(v) for k, v in basis.items() if v}
-        self.ops: OpsTable = {s: {k: vclean(v) for k, v in tab.items() if vclean(v)}
-                              for s, tab in ops.items()}
-        self.ops = {s: tab for s, tab in self.ops.items() if tab}
+        self.ops: OpsTable = {}
+        for s, tab in ops.items():
+            if clean := {k: v for k, vec in tab.items() if (v := vclean(vec))}:
+                self.ops[s] = clean
         self.units: Dict[object, Vec] = units  # strict units as vectors
 
     def dim(self, a, b) -> int:
@@ -225,20 +227,14 @@ def _check_unitality(A: AInfinityStructure, budget: Budget) -> Tuple[bool, Optio
     for a, unit in A.units.items():
         if A.apply_vecs(1, (a, a), [unit]):
             return False, f"m_1(Id_{a!r}) != 0"
-    for (a, b), degrees in A.basis.items():
-        unit_a = A.units.get(a)
-        unit_b = A.units.get(b)
-        for y in range(len(degrees)):
-            budget.charge(2)
-            ev = basis_vec(y, A.field)
-            if unit_a is not None:
-                left = A.apply_vecs(2, (a, a, b), [unit_a, ev])
-                if left != {y: A.field.one}:
-                    return False, f"m_2(Id_{a!r}, e_{y}) != e_{y} on hom({a!r},{b!r})"
-            if unit_b is not None:
-                right = A.apply_vecs(2, (a, b, b), [ev, unit_b])
-                if right != {y: A.field.one}:
-                    return False, f"m_2(e_{y}, Id_{b!r}) != e_{y} on hom({a!r},{b!r})"
+    dims = {key: len(degrees) for key, degrees in A.basis.items()}
+    budget.charge(2 * sum(dims.values()))  # a left and a right law per basis element
+
+    def m2(a, b, c, x, y):
+        return A.apply(2, (a, b, c), (x, y))
+    bad = _unit_failure(dims, A.units, m2, m2, A.field)
+    if bad:
+        return False, "m_2 unit law fails on e_{2} of hom({0!r},{1!r})".format(*bad)
     for s in A.support():
         if s == 2:
             continue

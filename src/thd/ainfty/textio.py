@@ -134,8 +134,6 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
                 args = tuple(int(x) for x in parts[1])
                 (target,) = (int(x) for x in parts[2])
                 (coeff_tok,) = parts[3]
-                if len(chain) != degree + 1 or len(args) != degree:
-                    raise FormatError(f"line {lineno}: chain/args lengths do not match degree")
                 vec = data.setdefault((chain, args), {})
                 c = cat.field.of(coeff_tok)
                 vec[target] = vec.get(target, cat.field.zero) + c
@@ -145,18 +143,10 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
             raise FormatError(f"line {lineno}: {exc}") from exc
     if degree is None:
         raise FormatError("no cochain degree declared")
-    for (chain, args), vec in data.items():
-        for k in range(degree):
-            if not 0 <= args[k] < cat.dim(chain[k], chain[k + 1]):
-                raise FormatError(
-                    f"argument index {args[k]} out of range for hom({chain[k]!r},{chain[k+1]!r})"
-                )
-        for target in vec:
-            if not 0 <= target < mod.dim(chain[0], chain[-1]):
-                raise FormatError(
-                    f"target index {target} out of range for M({chain[0]!r},{chain[-1]!r})"
-                )
-    return Cochain(cat, mod, degree, data)
+    try:
+        return Cochain(cat, mod, degree, data)
+    except PreconditionViolation as exc:  # a key or target that does not fit
+        raise FormatError(str(exc)) from exc
 
 
 def format_category(cat: FiniteLinearCategory) -> str:

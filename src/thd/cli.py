@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--cochain", default=None, help="cochain file")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--budget", type=int, default=None,
-                        help="evaluation cap (default 10^7; THD_BUDGET overrides)")
+                        help="evaluation cap (overrides THD_BUDGET; default 10^7)")
         add_format(sp)
 
     sp = add_command(asub, "verify", "check the defining identities and unitality",

@@ -63,7 +63,7 @@ def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
     """``dim H^j(X, f^* Omega^i_{P^{n+1}}(p))``.
 
     Case table over the same support loci as a twisted Hodge diamond, with
-    six special entries where a connecting map subtracts a middle-line term.
+    two special entries where a connecting map subtracts a middle-line term.
     """
     return _pullback(X.n, X.d, p, i, j)
 
@@ -71,14 +71,6 @@ def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
 def _pullback(n: int, d: int, p: int, i: int, j: int) -> int:
     if i < 0 or i > n + 1 or j < 0 or j > n:
         return 0
-    if (i, j) == (0, 0):
-        return _hodge(n, d, p, 0, 0)
-    if (i, j) == (0, n):
-        return _hodge(n, d, p, 0, n)
-    if (i, j) == (n + 1, 0):
-        return _hodge(n, d, p - d, n, 0)
-    if (i, j) == (n + 1, n):
-        return _hodge(n, d, p - d, n, n)
     if (i, j) == (n, 0):
         return _hodge(n, d, p, n, 0) + _hodge(n, d, p - d, n - 1, 0) - _hodge(n, d, p - d, n - 1, 1)
     if (i, j) == (1, n):

@@ -307,6 +307,15 @@ def test_ainfty_budget_env(capsys, monkeypatch):
     assert code == 5
 
 
+def test_the_budget_flag_beats_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("THD_BUDGET", "10")
+    code, out, _ = run(capsys, "ainfty", "verify", "--example", "dual-deformed", "--budget", "100000")
+    assert code == 0 and out
+    monkeypatch.setenv("THD_BUDGET", "100000")
+    code, _, err = run(capsys, "ainfty", "verify", "--example", "dual-deformed", "--budget", "10")
+    assert code == 5 and "(11 > 10)" in err
+
+
 def test_ainfty_unknown_example(capsys):
     code, _, err = run(capsys, "ainfty", "verify", "--example", "nope")
     assert code == 3 and "unknown example" in err

@@ -48,6 +48,7 @@ from thd.ainfty.cochain import (
     identity_basis_change,
 )
 from thd.ainfty.examples import dual_numbers, product_algebra_unit_basis
+from thd.ainfty.textio import FormatError, format_category, parse_category, parse_cochain
 from thd.ainfty import linalg
 from thd.ainfty.linalg import raw
 from thd.hochschild import hh_dim_on_X
@@ -218,14 +219,28 @@ def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():
         deform(cat, mod, eta)
 
 
-def test_a_cochain_value_past_the_bimodule_raises_in_its_coboundary():
-    # Cochain checks its (chain, args) keys, not the values' indices; the merge
-    # terms of e_2 in the two-dimensional M(*, *) land past their block
-    cat = dual_numbers(QQ)
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_a_cochain_value_past_the_bimodule_is_refused_where_it_is_built(field):
+    # so no coboundary, whose merge terms would land past their block, ever sees
+    # it; a zero value is checked too, as the text format always checked it
+    cat = dual_numbers(field)
     mod = CentralBimodule.regular(cat)
-    f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {2: QQ.one}})
-    with pytest.raises(PreconditionViolation, match="differential left the"):
-        hochschild_differential(f)
+    for key, vec in (((("*", "*"), (1,)), {2: field.one}),
+                     ((("*",) * 4, (1, 1, 1)), {5: field.one}),
+                     ((("*", "*"), (1,)), {2: field.zero}),
+                     ((("*", "*"), (1,)), {-1: field.one})):
+        index = next(iter(vec))
+        with pytest.raises(PreconditionViolation, match=f"target index {index} out of range"):
+            Cochain(cat, mod, len(key[1]), {key: vec})
+    # the text format reaches the same check, and words its error the same
+    parsed = parse_category(format_category(cat))
+    assert parse_cochain("cochain 1\ncomponent * * : 1 : 1 : 1\n", parsed).data == {
+        (("*", "*"), (1,)): {1: field.one}}
+    for degree, args, target, message in ((1, 1, 2, "target index 2 out of range for M"),
+                                          (1, 2, 1, "argument index 2 out of range for hom"),
+                                          (2, 1, 1, "does not fit degree 2")):
+        with pytest.raises(FormatError, match=message):
+            parse_cochain(f"cochain {degree}\ncomponent * * : {args} : {target} : 1\n", parsed)
 
 
 # terms the normalized assembly emits and budget units it charges on the
@@ -306,9 +321,9 @@ def test_the_library_builds_its_cochains_without_rechecking_keys(monkeypatch):
     checked = []
     check = Cochain._check_key
 
-    def counted(self, chain, args):
+    def counted(self, chain, args, vec):
         checked.append((chain, args))
-        return check(self, chain, args)
+        return check(self, chain, args, vec)
     monkeypatch.setattr(Cochain, "_check_key", counted)
     field = FIELDS[1]
     for name in ("pipeline", "dual-numbers-x-k2"):  # the second pulls back along its basis change
@@ -350,6 +365,31 @@ def test_every_broken_unit_law_raises_before_any_column_is_built(corruption, fie
         hh_dimensions(cat, mod, 2)
     with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
         cocycle_space(cat, mod, 1)
+
+
+STAR4 = ("*",) * 4
+# on k[x]/(x^2) with basis (id, x): entries a basis key reads that leave the complex
+PAST_THEIR_SPACES = {
+    "left-output": ("left", (1, 1), {2: 1}),  # x . e_x = e_2, past M(*, *)
+    "right-output": ("right", (1, 1), {2: 1}),  # e_x . x = e_2
+    "product-pair": ("compose", (1, 2), {1: 1}),  # x followed by the arrow 2, past hom(*, *)
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("corruption", PAST_THEIR_SPACES)
+def test_a_table_entry_past_its_space_raises_from_every_caller(corruption, field):
+    which, entry, value = PAST_THEIR_SPACES[corruption]
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {1: field.one}})
+    eta = Cochain(cat, mod, 3, {(STAR4, (1, 1, 1)): {1: field.one}})
+    table = cat.compose if which == "compose" else getattr(mod, which)
+    table[STAR][entry] = {k: field.of(c) for k, c in value.items()}
+    for call in (lambda: hh_dimensions(cat, mod, 2), lambda: cocycle_space(cat, mod, 1),
+                 lambda: hochschild_differential(f), lambda: deform(cat, mod, eta)):
+        with pytest.raises(PreconditionViolation, match="^differential left the normalized subcomplex$"):
+            call()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

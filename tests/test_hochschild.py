@@ -1,4 +1,5 @@
 import collections
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,23 @@ def test_pullback_examples():
     assert pullback_cohomology_dim(X57, 8, 3, 5) == 0
     assert pullback_cohomology_dim(X57, 7, 3, 2) == 1  # delta_{p,d} diagonal
     assert pullback_cohomology_dim(X57, 8, 7, 0) == 0  # out of range
+
+
+# SHA-256 of every pullback_cohomology_dim on n 1..9, d 1..8, p -40..14, one list of the
+# (i, j) cells per twist, computed at 4616fd6, where the table still spelled out the
+# corners (0, 0), (0, n), (n+1, 0) and (n+1, n) that the edge rules now cover
+PULLBACK_DIGEST = "ff36972cb545c12dad09ee7e9cceb2611d11702759bc9ef594e4779c0d12d4bc"
+
+
+def test_the_pullback_table_is_unchanged_on_a_grid():
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for d in range(1, 9):
+            X = Hypersurface(n, d)
+            for p in range(-40, 15):
+                cells = [pullback_cohomology_dim(X, p, i, j) for i in range(n + 2) for j in range(n + 1)]
+                digest.update(str(cells).encode("ascii"))
+    assert digest.hexdigest() == PULLBACK_DIGEST
 
 
 def test_pushforward_examples():
@@ -348,9 +366,11 @@ def test_the_ledger_makes_one_pass_per_twist(monkeypatch):
     diamond_support = {(i, j) for i in range(n + 1) for j in (0, n, n - i, i)}
     pullback_support = {(i, j) for i in range(n + 2) for j in (0, n, i, i - 1) if 0 <= j <= n}
     assert len(diamond_support) == 20 and len(pullback_support) == 22
-    assert set(hodge_calls) == {(q, i, j) for q in (tp, tp - X.d) for i, j in diamond_support}
+    # the edge rules of the pullback table also read cells off the diamond, which are 0
+    inside = {(q, i, j): c for (q, i, j), c in hodge_calls.items() if 0 <= i <= n and 0 <= j <= n}
+    assert set(inside) == {(q, i, j) for q in (tp, tp - X.d) for i, j in diamond_support}
     # once from the walk of the diamond, and once more where a pullback entry reads the cell
-    assert sum(hodge_calls.values()) == 66 and set(hodge_calls.values()) == {1, 2}
+    assert sum(inside.values()) == 66 and set(inside.values()) == {1, 2}
     assert pullback_calls == collections.Counter((tp, i, j) for i, j in pullback_support)
     assert thd.hochschild._hh_on_X.cache_info().misses == 2
     assert thd.hochschild._hh_push.cache_info().misses == 1

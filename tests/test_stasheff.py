@@ -13,6 +13,7 @@ import pytest
 from oracles import differential_terms, exhaustive_stasheff, per_key_hochschild_differential
 from thd.ainfty import (
     AInfinityStructure,
+    Algebra,
     Budget,
     CentralBimodule,
     Cochain,
@@ -33,12 +34,13 @@ from thd.ainfty.examples import (
     dual_numbers,
     matrix_algebra,
     perturbed_noncocycle,
+    product_algebra,
     product_algebra_unit_basis,
     square_zero_cocycle,
 )
 from thd.ainfty.fields import GFElement
 from thd.ainfty.structure import _check_unitality
-from thd.errors import BudgetExceeded, NotACocycle
+from thd.errors import BudgetExceeded, NotACocycle, PreconditionViolation
 
 FIELDS = {"Q": QQ, "F32003": PrimeField(32003), "F7": PrimeField(7)}
 
@@ -181,6 +183,32 @@ def test_budget_spent_is_joins_plus_unitality_charges():
     assert _check_unitality(A, unitality) == (True, None)
     assert budget.spent == report.evaluations + unitality.spent
     assert unitality.spent > 0
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_a_failing_m2_unit_law_names_its_hom_and_basis_element(field):
+    # x is no unit of k[x]/(x^2), though m_2 stays associative: the identities pass
+    # and only the unit laws fail, first at e_0 . x = x != e_0
+    A = from_linear_category(dual_numbers(field))
+    A.units["*"] = {1: field.one}
+    budget = Budget()
+    report = verify_stasheff(A, 4, budget)
+    assert report.passed and not report.unital
+    assert report.unital_failure == "m_2 unit law fails on e_0 of hom('*','*')"
+    assert outcome(report) == outcome(exhaustive_stasheff(A, 4))
+    assert budget.spent == report.evaluations + 2 * 2  # two laws on each basis element
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_an_algebra_with_a_broken_unit_is_refused(field):
+    one = field.one
+    product_algebra(field).validate()
+    # e_1 is idempotent in k x k, and no unit: e_1 e_2 = 0
+    with pytest.raises(PreconditionViolation, match="unit law fails on basis element 1"):
+        Algebra(field, 2, {(0, 0): {0: one}, (1, 1): {1: one}}, {0: one}).validate()
+    # a left unit only: e_1 e_2 = e_2 but e_2 e_1 = 0
+    with pytest.raises(PreconditionViolation, match="unit law fails on basis element 1"):
+        Algebra(field, 2, {(0, 0): {0: one}, (0, 1): {1: one}}, {0: one}).validate()
 
 
 @pytest.mark.parametrize("field", [QQ, FIELDS["F7"]], ids=["Q", "F7"])
