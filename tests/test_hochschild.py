@@ -88,8 +88,8 @@ def test_pullback_examples():
 
 
 # SHA-256 of every pullback_cohomology_dim on n 1..9, d 1..8, p -40..14, one list of the
-# (i, j) cells per twist, computed at 4616fd6, where the table still spelled out the
-# corners (0, 0), (0, n), (n+1, 0) and (n+1, n) that the edge rules now cover
+# (i, j) cells per twist, computed at 4616fd6: the corners (0, 0), (0, n), (n+1, 0) and
+# (n+1, n) must follow the edge rules
 PULLBACK_DIGEST = "ff36972cb545c12dad09ee7e9cceb2611d11702759bc9ef594e4779c0d12d4bc"
 
 
