@@ -97,6 +97,25 @@ def _unit_failure(dims, identities, left, right, field):
     return None
 
 
+def _entry_past_spaces(name, table, objects, first, second, value) -> None:
+    """Refuse the first entry of a product or action table that reads or writes past its spaces.
+
+    ``table[(a, b, c)][(x, y)]`` takes ``x`` in ``first(a, b)`` and ``y`` in
+    ``second(b, c)`` to a vector of ``value(a, c)``; an entry with no nonzero
+    coefficient is no entry at all.
+    """
+    objects = set(objects)
+    for (a, b, c), pairs in table.items():
+        for (x, y), vec in pairs.items():
+            out = sorted(k for k, coeff in vec.items() if coeff)
+            if out and not ({a, b, c} <= objects and 0 <= x < first(a, b)
+                            and 0 <= y < second(b, c) and all(0 <= k < value(a, c) for k in out)):
+                raise PreconditionViolation(
+                    f"{name} entry {(x, y)} -> {out} at {(a, b, c)!r} lies past its spaces "
+                    f"(dimensions {first(a, b)} x {second(b, c)} -> {value(a, c)})"
+                )
+
+
 class FiniteLinearCategory:
     """A category with finitely many objects and based finite hom spaces."""
 
@@ -129,8 +148,9 @@ class FiniteLinearCategory:
 
     # -- validation ----------------------------------------------------
     def validate(self) -> None:
-        """Assert associativity and unit laws on all basis tuples."""
+        """Assert table indices in range, then associativity and unit laws on all basis tuples."""
         f = self.field
+        _entry_past_spaces("compose", self.compose, self.objects, self.dim, self.dim, self.dim)
         for a in self.objects:
             if self.dim(a, a) == 0 and any(
                 self.dim(a, b) or self.dim(b, a) for b in self.objects
@@ -238,6 +258,8 @@ class CentralBimodule:
 
     def validate(self) -> None:
         cat, f = self.cat, self.field
+        _entry_past_spaces("left", self.left, cat.objects, cat.dim, self.dim, self.dim)
+        _entry_past_spaces("right", self.right, cat.objects, self.dim, cat.dim, self.dim)
         for a, b in self.dims:
             for x in (a, b):
                 if x not in cat.identities:

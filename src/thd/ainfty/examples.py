@@ -135,7 +135,7 @@ def _random_noncocycle(field, seed: int) -> Cochain:
 
 
 def example_names():
-    return sorted(_BUILDERS)
+    return sorted(_EXAMPLES)
 
 
 def build_example(name: str, field=QQ, seed: int = 0):
@@ -146,106 +146,48 @@ def build_example(name: str, field=QQ, seed: int = 0):
     one-line ``description``.
     """
     try:
-        builder = _BUILDERS[name]
+        description, build = _EXAMPLES[name]
     except KeyError:
         raise PreconditionViolation(
             f"unknown example {name!r}; available: {', '.join(example_names())}"
         ) from None
-    return builder(field, seed)
+    subject, description = build(field, seed), description.format(seed=seed)
+    if isinstance(subject, FiniteLinearCategory):
+        return category_entry(subject, description)
+    return {"kind": "structure", "structure": subject, "description": description}
 
 
-def _cat_entry(cat, description):
-    return {
-        "kind": "category",
-        "category": cat,
-        "bimodule": CentralBimodule.regular(cat),
-        "description": description,
-    }
+def category_entry(cat: FiniteLinearCategory, description: str):
+    """The entry of a category with its regular bimodule, as :func:`build_example` returns it."""
+    return {"kind": "category", "category": cat, "bimodule": CentralBimodule.regular(cat),
+            "description": description}
 
 
-def _structure_entry(structure, description):
-    return {"kind": "structure", "structure": structure, "description": description}
+def _deformed(eta: Cochain, check: bool = True):
+    return deform(eta.cat, eta.mod, eta, check=check)
 
 
-def _build_k(field, seed):
-    return _cat_entry(trivial_category(field), "the base field as a one-object category")
+def _zero_cocycle(cat: FiniteLinearCategory) -> Cochain:
+    return Cochain(cat, CentralBimodule.regular(cat), 3, {})
 
 
-def _build_dual(field, seed):
-    return _cat_entry(dual_numbers(field), "dual numbers k[x]/(x^2)")
-
-
-def _build_a2(field, seed):
-    return _cat_entry(a2_path_category(field), "path category of the A2 quiver")
-
-
-def _build_dual_k2(field, seed):
-    cat = tensor_with_algebra(dual_numbers(field), product_algebra(field))
-    return _cat_entry(cat, "dual numbers tensored with k x k")
-
-
-def _build_a2_k2(field, seed):
-    cat = tensor_with_algebra(a2_path_category(field), product_algebra(field))
-    return _cat_entry(cat, "A2 path category tensored with k x k")
-
-
-def _build_a2_deformed(field, seed):
-    cat = a2_path_category(field)
-    mod = CentralBimodule.regular(cat)
-    eta = Cochain(cat, mod, 3, {})
-    return _structure_entry(
-        deform(cat, mod, eta),
-        "A2 deformed along the zero degree-3 cocycle (square-zero extension)",
-    )
-
-
-def _build_dual_deformed(field, seed):
-    cat = dual_numbers(field)
-    mod = CentralBimodule.regular(cat)
-    return _structure_entry(
-        deform(cat, mod, square_zero_cocycle(field)),
-        "dual numbers deformed along the degree-3 cocycle (x,x,x) -> x",
-    )
-
-
-def _build_dual_perturbed(field, seed):
-    cat = dual_numbers(field)
-    mod = CentralBimodule.regular(cat)
-    return _structure_entry(
-        deform(cat, mod, perturbed_noncocycle(field), check=False),
-        "deformation along a non-cocycle; the verifier fails at k = 4",
-    )
-
-
-def _build_random_cocycle(field, seed):
-    cat = dual_numbers(field)
-    mod = CentralBimodule.regular(cat)
-    eta = _random_cocycle(field, seed)
-    return _structure_entry(
-        deform(cat, mod, eta),
-        f"deformation along a random closed cochain (seed {seed})",
-    )
-
-
-def _build_random_noncocycle(field, seed):
-    cat = dual_numbers(field)
-    mod = CentralBimodule.regular(cat)
-    eta = _random_noncocycle(field, seed)
-    return _structure_entry(
-        deform(cat, mod, eta, check=False),
-        f"deformation along a random non-closed cochain (seed {seed})",
-    )
-
-
-_BUILDERS = {
-    "k": _build_k,
-    "dual-numbers": _build_dual,
-    "a2": _build_a2,
-    "dual-numbers-x-k2": _build_dual_k2,
-    "a2-x-k2": _build_a2_k2,
-    "a2-deformed": _build_a2_deformed,
-    "dual-deformed": _build_dual_deformed,
-    "dual-perturbed": _build_dual_perturbed,
-    "random-cocycle": _build_random_cocycle,
-    "random-noncocycle": _build_random_noncocycle,
+# name -> (description, builder(field, seed)); a description may name the {seed}
+_EXAMPLES = {
+    "k": ("the base field as a one-object category", lambda F, seed: trivial_category(F)),
+    "dual-numbers": ("dual numbers k[x]/(x^2)", lambda F, seed: dual_numbers(F)),
+    "a2": ("path category of the A2 quiver", lambda F, seed: a2_path_category(F)),
+    "dual-numbers-x-k2": ("dual numbers tensored with k x k",
+                          lambda F, seed: tensor_with_algebra(dual_numbers(F), product_algebra(F))),
+    "a2-x-k2": ("A2 path category tensored with k x k",
+                lambda F, seed: tensor_with_algebra(a2_path_category(F), product_algebra(F))),
+    "a2-deformed": ("A2 deformed along the zero degree-3 cocycle (square-zero extension)",
+                    lambda F, seed: _deformed(_zero_cocycle(a2_path_category(F)))),
+    "dual-deformed": ("dual numbers deformed along the degree-3 cocycle (x,x,x) -> x",
+                      lambda F, seed: _deformed(square_zero_cocycle(F))),
+    "dual-perturbed": ("deformation along a non-cocycle; the verifier fails at k = 4",
+                       lambda F, seed: _deformed(perturbed_noncocycle(F), check=False)),
+    "random-cocycle": ("deformation along a random closed cochain (seed {seed})",
+                       lambda F, seed: _deformed(_random_cocycle(F, seed))),
+    "random-noncocycle": ("deformation along a random non-closed cochain (seed {seed})",
+                          lambda F, seed: _deformed(_random_noncocycle(F, seed), check=False)),
 }

@@ -224,6 +224,7 @@ def _is_basis_key(A: AInfinityStructure, position, s: int, chain: Tuple, args: T
 
 
 def _check_unitality(A: AInfinityStructure, budget: Budget) -> Tuple[bool, Optional[str]]:
+    """The first failing unit law, read on the keys the identities read (:func:`_is_basis_key`)."""
     for a, unit in A.units.items():
         if A.apply_vecs(1, (a, a), [unit]):
             return False, f"m_1(Id_{a!r}) != 0"
@@ -235,10 +236,13 @@ def _check_unitality(A: AInfinityStructure, budget: Budget) -> Tuple[bool, Optio
     bad = _unit_failure(dims, A.units, m2, m2, A.field)
     if bad:
         return False, "m_2 unit law fails on e_{2} of hom({0!r},{1!r})".format(*bad)
+    position = {a: i for i, a in enumerate(A.objects)}
     for s in A.support():
         if s == 2:
             continue
-        for (chain, args), vec in A.ops[s].items():
+        for chain, args in A.ops[s]:
+            if not _is_basis_key(A, position, s, chain, args):
+                continue
             for slot in range(s):
                 if chain[slot] != chain[slot + 1]:
                     continue

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import ainfty as ai
-from .ainfty.examples import _cat_entry
+from .ainfty.examples import category_entry
 from .errors import (BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation,
                      UsageError)
 from .hochschild import (
@@ -126,7 +126,7 @@ def _load_subject(args, parser):
         return dict(entry, source=f"example {args.example}"), budget
     if args.category:
         cat = ai.parse_category(_read(args.category))
-        entry = dict(_cat_entry(cat, f"category from {args.category}"), source=args.category)
+        entry = dict(category_entry(cat, f"category from {args.category}"), source=args.category)
         if getattr(args, "cochain", None):
             entry["cochain"] = ai.parse_cochain(_read(args.cochain), cat, entry["bimodule"])
         return entry, budget

@@ -161,6 +161,17 @@ def _a3_times_matrices():
                                              "bimodule actions do not commute at (1,1,2,3)")),
     ("left", (2, 3, 3), (3, 3), {0: 2}, (None, "left action is not associative at (1,2,3,3)")),
     ("right", (1, 3, 3), (1, 2), {2: 5}, (None, "bimodule actions do not commute at (1,1,3,3)")),
+    # entries past their spaces are refused before any law, naming table, key and entry
+    ("compose", (1, 2, 3), (0, 4), {1: 1}, (
+        "compose entry (0, 4) -> [1] at (1, 2, 3) lies past its spaces (dimensions 4 x 4 -> 4)",
+        "left entry (0, 4) -> [1] at (1, 2, 3) lies past its spaces (dimensions 4 x 4 -> 4)")),
+    ("compose", (1, 2, "?"), (0, 0), {0: 1}, (
+        "compose entry (0, 0) -> [0] at (1, 2, '?') lies past its spaces (dimensions 4 x 0 -> 0)",
+        "left entry (0, 0) -> [0] at (1, 2, '?') lies past its spaces (dimensions 4 x 0 -> 0)")),
+    ("left", (2, 3, 3), (3, 3), {4: 1}, (
+        None, "left entry (3, 3) -> [4] at (2, 3, 3) lies past its spaces (dimensions 4 x 4 -> 4)")),
+    ("right", (1, 3, 3), (1, 4), {2: 1}, (
+        None, "right entry (1, 4) -> [2] at (1, 3, 3) lies past its spaces (dimensions 4 x 4 -> 4)")),
 ])
 def test_validate_on_a_corrupted_three_object_category(table, key, pair, value, messages):
     # Only chains through nonzero homs are checked, and the first failure is
@@ -168,7 +179,7 @@ def test_validate_on_a_corrupted_three_object_category(table, key, pair, value, 
     cat = _a3_times_matrices()
     mod = regular(cat)
     tables = {"compose": cat.compose, "left": mod.left, "right": mod.right}
-    tables[table][key][pair] = {k: cat.field.of(v) for k, v in value.items()}
+    tables[table].setdefault(key, {})[pair] = {k: cat.field.of(v) for k, v in value.items()}
     if table == "compose":
         mod = regular(cat)
     for obj, message in zip((cat, mod), messages):

@@ -161,6 +161,8 @@ def test_keys_outside_the_basis_are_never_evaluated():
     stray = {(("*", "?", "*"), (0, 0)): {1: QQ.one}, (("*",) * 3, (0, 2)): {1: QQ.one},
              (("*",) * 3, (0,)): {1: QQ.one}}
     A.ops[2].update(stray)
+    # the wrong arity, and an argument past the basis beside an identity argument
+    A.ops[3] = {(("*",) * 3, (1, 1, 1)): {1: QQ.one}, (("*",) * 4, (0, 5, 1)): {1: QQ.one}}
     report = assert_agrees(A, 5)
     assert report.passed and report.unital
 
