@@ -58,7 +58,7 @@ gamma = matrix_algebra()
 tcat = tensor_category(cat, gamma)
 tmod = tensor_bimodule(mod, gamma, tcat)
 route1 = tensor_with_algebra(A, gamma)
-route2 = deform(tcat, tmod, cup_with_identity(eta, gamma, tcat, tmod))
+route2 = deform(tcat, tmod, cup_with_identity(eta, gamma))
 assert route1.ops == route2.ops and route1.basis == route2.basis
 print("\ncup compatibility over 2x2 matrices: structure tensors agree on the nose")
 

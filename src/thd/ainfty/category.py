@@ -102,18 +102,21 @@ def _entry_past_spaces(name, table, objects, first, second, value) -> None:
 
     ``table[(a, b, c)][(x, y)]`` takes ``x`` in ``first(a, b)`` and ``y`` in
     ``second(b, c)`` to a vector of ``value(a, c)``; an entry with no nonzero
-    coefficient is no entry at all.
+    coefficient is no entry at all.  Every differential call runs this too,
+    so the dimensions are read once per key and an entry is sorted only to be reported.
     """
     objects = set(objects)
     for (a, b, c), pairs in table.items():
+        known, dx, dy, dv = {a, b, c} <= objects, first(a, b), second(b, c), value(a, c)
+        inside = range(dv).__contains__
         for (x, y), vec in pairs.items():
+            fits = known and 0 <= x < dx and 0 <= y < dy
+            if fits and all(map(inside, vec)):
+                continue
             out = sorted(k for k, coeff in vec.items() if coeff)
-            if out and not ({a, b, c} <= objects and 0 <= x < first(a, b)
-                            and 0 <= y < second(b, c) and all(0 <= k < value(a, c) for k in out)):
-                raise PreconditionViolation(
-                    f"{name} entry {(x, y)} -> {out} at {(a, b, c)!r} lies past its spaces "
-                    f"(dimensions {first(a, b)} x {second(b, c)} -> {value(a, c)})"
-                )
+            if out and not (fits and all(map(inside, out))):
+                raise PreconditionViolation(f"{name} entry {(x, y)} -> {out} at {(a, b, c)!r} "
+                                            f"lies past its spaces (dimensions {dx} x {dy} -> {dv})")
 
 
 class FiniteLinearCategory:

@@ -24,9 +24,9 @@ these columns, which :mod:`.linalg` reduces; their linear extension, summed
 on raw numbers, is :func:`_coboundary`, which ``deform`` tests for zero and
 :func:`hochschild_differential` exports as a :class:`Cochain`.  Indices are
 checked once, where they enter: a :class:`Cochain` refuses a key or a target
-outside its category and bimodule, and the tables refuse an action output or
-a product of arrows past its space, so a term past its block raises there and
-the walk itself checks nothing.
+outside its category and bimodule, and the tables refuse every entry that
+``validate()`` refuses, so a term past its block raises there and the walk
+itself checks nothing.
 
 Cochain spaces are enumerated in one model, the normalized subcomplex of
 cochains vanishing on identity arguments (Loday, *Cyclic Homology*, ch. 1),
@@ -52,6 +52,7 @@ from .category import (
     LinearFunctor,
     Vec,
     _basis_tuples,
+    _entry_past_spaces,
     _gamma_products,
     _lift,
     _unit_failure,
@@ -138,9 +139,6 @@ class Cochain:
         )
 
 
-_LEFT = "differential left the normalized subcomplex"
-
-
 def differential_tables(cat: FiniteLinearCategory, mod: CentralBimodule):
     """The tables of :func:`_tables` with every entry, for the full bar differential."""
     return _tables(cat, mod, normalized=False)
@@ -155,11 +153,14 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     ``u: a->b`` and ``v: b->c`` whose product has ``coeff e_k``, ``count`` how many there are.
     Not cached: tensors can change.  ``normalized`` checks the unit laws and
     drops the terms of ``id . e_m``, ``e_m . id`` and the splits ``(id, k)``
-    and ``(k, id)``, still counted: an action entry keeps its place.  An
-    action output past its bimodule space, or a product of arrows past their
-    hom spaces, raises here, so every term of :func:`_block_columns` lands in
-    its target block.
+    and ``(k, id)``, still counted: an action entry keeps its place.  A table
+    entry past its spaces raises first, with the words of ``validate()``
+    (:func:`~.category._entry_past_spaces`), so every term of
+    :func:`_block_columns` lands in its target block.
     """
+    _entry_past_spaces("compose", cat.compose, cat.objects, cat.dim, cat.dim, cat.dim)
+    _entry_past_spaces("left", mod.left, cat.objects, cat.dim, mod.dim, mod.dim)
+    _entry_past_spaces("right", mod.right, cat.objects, mod.dim, cat.dim, mod.dim)
     field = cat.field
     units = {a: cat.id_basis_index(a) for a in cat.objects if normalized and cat.dim(a, a)}
     ids = {a: {i: field.one} for a, i in units.items()}
@@ -169,27 +170,22 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
         raise PreconditionViolation("an identity does not act as one on basis element {2} of "
                                     "({0!r}, {1!r}), so d left the normalized subcomplex".format(*bad))
 
-    def raws(vec, size):
-        out = [(k, c) for k, c in ((k, raw(field, c)) for k, c in vec.items()) if c]
-        if not all(0 <= k < size for k, _ in out):
-            raise PreconditionViolation(_LEFT)
-        return out
+    def raws(vec):
+        return [(k, c) for k, c in ((k, raw(field, c)) for k, c in vec.items()) if c]
     left, right = {}, {}
     for (a, x0, xn), table in mod.left.items():
         for (x, m), vec in table.items():
-            if x < cat.dim(a, x0) and any(vec.values()):
+            if any(vec.values()):
                 left.setdefault((x0, xn, m), []).append(
-                    (a, x, [] if (a, x) == (x0, units.get(a)) else raws(vec, mod.dim(a, xn))))
+                    (a, x, [] if (a, x) == (x0, units.get(a)) else raws(vec)))
     for (x0, xn, c), table in mod.right.items():
         for (m, x), vec in table.items():
-            if x < cat.dim(xn, c) and any(vec.values()):
+            if any(vec.values()):
                 right.setdefault((x0, xn, m), []).append(
-                    (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec, mod.dim(x0, c))))
+                    (c, x, [] if (c, x) == (xn, units.get(c)) else raws(vec)))
     splits: Dict = {}
     for (a, b, c), pairs in cat.compose.items():
         for (u, v), vec in pairs.items():
-            if any(vec.values()) and not (0 <= u < cat.dim(a, b) and 0 <= v < cat.dim(b, c)):
-                raise PreconditionViolation(_LEFT)
             for k, coeff in vec.items():
                 if coeff:
                     entry = splits.setdefault((a, c, k), [0, []])
@@ -422,31 +418,29 @@ def random_cochain(cat, mod, degree, rng) -> Cochain:
     return Cochain._built(cat, mod, degree, data)
 
 
-def cup_with_identity(eta: Cochain, gamma: Algebra,
-                      tcat: Optional[FiniteLinearCategory] = None,
-                      tmod: Optional[CentralBimodule] = None) -> Cochain:
+def cup_with_identity(eta: Cochain, gamma: Algebra) -> Cochain:
     """Extend a cochain along ``- tensor gamma``.
 
     ``(eta u 1)((x_1, g_1), .., (x_n, g_n)) = eta(x_1 .. x_n) (x) g_1 .. g_n``
     on the tensored category, with coefficients in the tensored bimodule.
     Cocycles map to cocycles.
     """
-    cat, n = eta.cat, eta.degree
-    gd = gamma.dim
-    tcat = tcat or tensor_category(cat, gamma)
-    tmod = tmod or tensor_bimodule(eta.mod, gamma, tcat)
+    n, gd = eta.degree, gamma.dim
+    tcat = tensor_category(eta.cat, gamma)
     products = _gamma_products(gamma, n)
     data = {(chain, lifted): out for (chain, args), vec in eta.data.items()
             for lifted, out in _lift(args, vec, products, gd)}
-    return Cochain(tcat, tmod, n, data)
+    return Cochain._built(tcat, tensor_bimodule(eta.mod, gamma, tcat), n, data)
 
 
 def restrict_along_functor(F: LinearFunctor, eta: Cochain) -> Cochain:
     """Pull a cochain back along a functor: ``(F_* eta)(y_1..y_n) = eta(F y_1, .., F y_n)``.
 
     Coefficients live in the restriction of the original bimodule; the
-    operation commutes with the differentials on both sides.
+    operation commutes with the differentials on both sides.  ``eta`` is
+    keyed on ``F.target`` first, so a cochain of another category is refused.
     """
+    eta = Cochain(F.target, eta.mod, eta.degree, eta.data)
     mod = restricted_bimodule(F, eta.mod)
     return Cochain._built(F.source, mod, eta.degree, _pulled_back(F, eta))
 

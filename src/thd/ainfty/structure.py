@@ -94,11 +94,13 @@ def deform(
 
     Raises :class:`NotACocycle` when ``d eta != 0`` (the identity at
     ``k = n + 1`` would fail).  ``check=False`` skips the test; it exists so
-    that the verifier's failure localization can be demonstrated.
+    that the verifier's failure localization can be demonstrated.  ``eta`` is
+    keyed on ``cat`` and ``mod`` first, so a cochain of another category is refused.
     """
     n = eta.degree
     if n < 3:
         raise PreconditionViolation(f"deformation degree must be >= 3, got {n}")
+    eta = Cochain(cat, mod, n, eta.data)
     if check and _coboundary(eta, budget):
         raise NotACocycle(f"the degree-{n} cochain is not closed")
     objects = cat.objects

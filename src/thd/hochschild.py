@@ -10,9 +10,9 @@ canonical twist ``t = d - n - 2``:
 * ``kernel_dim``: the kernel of the pushforward map ``f_*`` on ``HH^m``,
   which picks out the interior of the middle line.
 
-The first two are computed a whole degree vector at a time: one walk over
-the support cells of the table for a twist adds each cell into its column,
-and the vector is cached per ``(n, d, p)``.
+The first two are computed a whole degree vector at a time: one walk
+(:func:`_columns`) over the support cells of the table for a twist adds each
+cell into its column, and the vector is cached per ``(n, d, p)``.
 
 The long exact sequence relating the three is mechanized as a rank
 propagation ledger (:func:`les_ledger`); it serves as the independent oracle
@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ExactnessViolation, PreconditionViolation
-from .hodge import Hypersurface, _hodge
+from .hodge import Hypersurface, _hodge, _support
 
 TARGETS = ("onX", "pushforward", "kernel")
 
@@ -40,18 +40,22 @@ def _require_nondegenerate_twist(X: Hypersurface, p: int) -> None:
         )
 
 
+def _columns(cell, n: int, d: int, tp: int, rows: int, support) -> Tuple[int, ...]:
+    """The column sums ``m -> sum_i cell(n, d, tp, i, n + i - m)`` for ``m = 0 .. n + rows - 1``.
+
+    Each cell ``j in support(n, i)`` of row ``i < rows`` adds into degree
+    ``m = n + i - j``; ``cell`` must be 0 off its support."""
+    dims = [0] * (n + rows)
+    for i in range(rows):
+        for j in support(n, i):
+            dims[n + i - j] += cell(n, d, tp, i, j)
+    return tuple(dims)
+
+
 @lru_cache(maxsize=None)
 def _hh_on_X(n: int, d: int, p: int) -> Tuple[int, ...]:
-    """``dim HH^m(X, O_X(p))`` for ``m = 0 .. 2n``, in one walk over the ``(t-p)``-diamond.
-
-    Degree ``m`` is the column ``j = i - m + n``, so each support cell ``j in {0, n, n-i, i}``
-    of row ``i`` adds into ``m = i - j + n``; a diamond is 0 off these loci."""
-    tp = d - n - 2 - p
-    dims = [0] * (2 * n + 1)
-    for i in range(n + 1):
-        for j in {0, n, n - i, i}:
-            dims[i - j + n] += _hodge(n, d, tp, i, j)
-    return tuple(dims)
+    """``dim HH^m(X, O_X(p))`` for ``m = 0 .. 2n``: column ``j = i - m + n`` of the ``(t-p)``-diamond."""
+    return _columns(_hodge, n, d, d - n - 2 - p, n + 1, _support)
 
 
 def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
@@ -62,8 +66,8 @@ def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
 def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
     """``dim H^j(X, f^* Omega^i_{P^{n+1}}(p))``.
 
-    Case table over the same support loci as a twisted Hodge diamond, with
-    two special entries where a connecting map subtracts a middle-line term.
+    Case table over the cells ``j in {0, n, i, i-1}`` (0 elsewhere), with two
+    special entries where a connecting map subtracts a middle-line term.
     """
     return _pullback(X.n, X.d, p, i, j)
 
@@ -88,18 +92,10 @@ def _pullback(n: int, d: int, p: int, i: int, j: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hh_push(n: int, d: int, p: int) -> Tuple[int, ...]:
-    """``dim HH^m(P^{n+1}, f_* O_X(p))`` for ``m = 0 .. 2n+1``,
-    in one walk over the pullback dimensions at ``t - p``.
-
-    Degree ``m`` is the column ``j = n - m + i``, so each support cell ``j in {0, n, i, i-1}``
-    of row ``i`` adds into ``m = n + i - j``; the table is 0 off these loci."""
-    tp = d - n - 2 - p
-    dims = [0] * (2 * n + 2)
-    for i in range(n + 2):
-        for j in {0, n, i, i - 1}:
-            if 0 <= j <= n:
-                dims[n + i - j] += _pullback(n, d, tp, i, j)
-    return tuple(dims)
+    """``dim HH^m(P^{n+1}, f_* O_X(p))`` for ``m = 0 .. 2n+1``: the column ``j = n - m + i``
+    of the pullback dimensions at ``t - p``, which are 0 off ``j in {0, n, i, i-1}``."""
+    return _columns(_pullback, n, d, d - n - 2 - p, n + 2,
+                    lambda n, i: {j for j in (0, n, i, i - 1) if 0 <= j <= n})
 
 
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:

@@ -5,9 +5,9 @@ For a smooth degree-``d`` hypersurface ``X`` of dimension ``n`` inside
 ``H^j(X, Omega^i_X(p))``.  The canonical bundle is ``O_X(t)`` with
 ``t = d - n - 2``.
 
-Only four loci of the ``(n+1) x (n+1)`` table can be nonzero: the lower edge
-``j = 0``, the upper edge ``j = n``, the anti-diagonal ``i + j = n`` and the
-diagonal ``i = j``.  Each locus has its own exact evaluation:
+Only four loci of the ``(n+1) x (n+1)`` table can be nonzero (``_support``): the
+lower edge ``j = 0``, the upper edge ``j = n``, the anti-diagonal ``i + j = n`` and
+the diagonal ``i = j``.  Each locus has its own exact evaluation:
 
 * anti-diagonal ("middle line"): one coefficient of the Hilbert series
   ``A = (1 + z + ... + z^{d-2})^{n+2}`` of the Jacobian ring of a degree-``d``
@@ -111,7 +111,6 @@ def _chi_line(m: int, q: int) -> int:
     return (-1) ** m * math.comb(-q - 1, m)
 
 
-@lru_cache(maxsize=None)
 def _chi_ambient_forms(m: int, i: int, q: int) -> int:
     """Euler characteristic of ``Omega^i_{P^m}(q)``, by the Euler sequence.
 
@@ -242,6 +241,11 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
     return total + sign * _h0(n, d, q)
 
 
+def _support(n: int, i: int) -> set:
+    """The columns ``j`` where row ``i`` of a diamond can be nonzero: the four loci above."""
+    return {0, n, n - i, i}
+
+
 def hodge_number(X: Hypersurface, p: int, i: int, j: int) -> int:
     """Twisted Hodge number ``h^{i,j}_p(X)``; out-of-range ``(i, j)`` give 0."""
     return _hodge(X.n, X.d, p, i, j)
@@ -311,13 +315,13 @@ class TwistedHodgeDiamond:
         return [
             (i, j, self.entries[i][j])
             for i in range(n + 1)
-            for j in sorted({0, n - i, i, n})
+            for j in sorted(_support(n, i))
             if self.entries[i][j] != 0
         ]
 
     @staticmethod
     def on_support(n: int, i: int, j: int) -> bool:
-        return j == 0 or j == n or i + j == n or i == j
+        return j in _support(n, i)
 
 
 def diamond(X: Hypersurface, p: int) -> TwistedHodgeDiamond:

@@ -237,7 +237,7 @@ def test_criterion_9_deformation_suite(capsys):
         route1 = tensor_with_algebra(deform(cat, mod, eta), gamma)
         tcat = tensor_category(cat, gamma)
         tmod = tensor_bimodule(mod, gamma, tcat)
-        route2 = deform(tcat, tmod, cup_with_identity(eta, gamma, tcat, tmod))
+        route2 = deform(tcat, tmod, cup_with_identity(eta, gamma))
         assert route1.basis == route2.basis and route1.ops == route2.ops
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

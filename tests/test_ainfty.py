@@ -485,12 +485,10 @@ def test_cup_commutes_with_differential():
     cat = dual_numbers()
     mod = regular(cat)
     for gamma in (scalar_algebra(), product_algebra(), matrix_algebra()):
-        tcat = tensor_category(cat, gamma)
-        tmod = tensor_bimodule(mod, gamma, tcat)
         for degree in (1, 2, 3):
             eta = random_cochain(cat, mod, degree, rng)
-            lhs = hochschild_differential(cup_with_identity(eta, gamma, tcat, tmod))
-            rhs = cup_with_identity(hochschild_differential(eta), gamma, tcat, tmod)
+            lhs = hochschild_differential(cup_with_identity(eta, gamma))
+            rhs = cup_with_identity(hochschild_differential(eta), gamma)
             assert lhs == rhs
 
 
@@ -503,10 +501,20 @@ def test_cup_deformation_compatibility():
         route1 = tensor_with_algebra(deform(cat, mod, eta), gamma)
         tcat = tensor_category(cat, gamma)
         tmod = tensor_bimodule(mod, gamma, tcat)
-        route2 = deform(tcat, tmod, cup_with_identity(eta, gamma, tcat, tmod))
+        route2 = deform(tcat, tmod, cup_with_identity(eta, gamma))
         assert route1.basis == route2.basis
         assert route1.ops == route2.ops
         assert route1.units == route2.units
+
+
+def test_deform_refuses_a_cochain_of_another_category():
+    # deform builds on the category it is given, so it keys the cochain there:
+    # an m_3 on chains of *, an object A2 does not have, is refused
+    cat = a2_path_category()
+    for check in (True, False):
+        with pytest.raises(PreconditionViolation,
+                           match=r"^argument index 1 out of range for hom\('\*','\*'\)$"):
+            deform(cat, regular(cat), square_zero_cocycle(), check=check)
 
 
 BUNDLED_ALGEBRAS = (scalar_algebra, product_algebra, product_algebra_unit_basis, matrix_algebra)
@@ -554,6 +562,14 @@ def test_restrict_along_identity_functor():
     ident.validate()
     eta = square_zero_cocycle()
     assert restrict_along_functor(ident, eta) == eta
+
+
+def test_restrict_refuses_a_cochain_of_another_category():
+    # the cochain lives on k[x]/(x^2); the quotient lands in k, whose hom(*, *)
+    # has no arrow 1, so the cochain is refused instead of evaluated as zero
+    with pytest.raises(PreconditionViolation,
+                       match=r"^argument index 1 out of range for hom\('\*','\*'\)$"):
+        restrict_along_functor(a2_to_a1_quotient(), square_zero_cocycle())
 
 
 def test_restrict_through_zero_hom_kills_cochains():

@@ -11,6 +11,7 @@ before any column is built.
 """
 
 import random
+import re
 
 import pytest
 
@@ -202,20 +203,21 @@ def test_an_action_entry_past_the_bimodule_never_lands_in_a_column():
     mod = CentralBimodule.regular(cat)
     mod.left[("*", "*", "*")][(1, 1)] = {2: QQ.one}  # M(*, *) has dimension 2
     # in the bar model, whose keys the library no longer enumerates
+    message = _past_its_spaces("left", ("*", "*", "*"), (1, 1), {2: 1}, (2, 2, 2))
     source, target = bar_cochain_basis(cat, mod, 1), bar_cochain_basis(cat, mod, 2)
-    with pytest.raises(PreconditionViolation, match="differential left the"):
+    with pytest.raises(PreconditionViolation, match=message):
         _differential_columns(cat, mod, source, target, Budget())
-    with pytest.raises(PreconditionViolation, match="differential left the"):
+    with pytest.raises(PreconditionViolation, match=message):
         bar_hh_dimensions(cat, mod, 2)
-    with pytest.raises(PreconditionViolation, match="left the normalized subcomplex"):
+    with pytest.raises(PreconditionViolation, match=message):
         hh_dimensions(cat, mod, 2)
     # nor in a coboundary: deform's check and the exported differential raise
     # where they used to emit the key (chain, args, 2)
     f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {1: QQ.one}})
     eta = Cochain(cat, mod, 3, {(("*",) * 4, (1, 1, 1)): {1: QQ.one}})
-    with pytest.raises(PreconditionViolation, match="differential left the"):
+    with pytest.raises(PreconditionViolation, match=message):
         hochschild_differential(f)
-    with pytest.raises(PreconditionViolation, match="differential left the"):
+    with pytest.raises(PreconditionViolation, match=message):
         deform(cat, mod, eta)
 
 
@@ -368,27 +370,46 @@ def test_every_broken_unit_law_raises_before_any_column_is_built(corruption, fie
 
 
 STAR4 = ("*",) * 4
-# on k[x]/(x^2) with basis (id, x): entries a basis key reads that leave the complex
+# on k[x]/(x^2) with its regular bimodule: the table, its key, the corrupted
+# entry, its value and the dimensions the message names; each is refused with
+# the words of validate(), whose index check (category._entry_past_spaces) the
+# tables share
 PAST_THEIR_SPACES = {
-    "left-output": ("left", (1, 1), {2: 1}),  # x . e_x = e_2, past M(*, *)
-    "right-output": ("right", (1, 1), {2: 1}),  # e_x . x = e_2
-    "product-pair": ("compose", (1, 2), {1: 1}),  # x followed by the arrow 2, past hom(*, *)
+    "left-output": ("left", STAR, (1, 1), {2: 1}, (2, 2, 2)),  # x . e_x = e_2, past M(*, *)
+    "right-output": ("right", STAR, (1, 1), {2: 1}, (2, 2, 2)),  # e_x . x = e_2
+    "product-pair": ("compose", STAR, (1, 2), {1: 1}, (2, 2, 2)),  # x followed by the arrow 2, past hom(*, *)
+    "product-output": ("compose", STAR, (1, 1), {2: 1}, (2, 2, 2)),  # x x = e_2, past hom(*, *)
+    "left-arrow": ("left", STAR, (2, 1), {1: 1}, (2, 2, 2)),  # the arrow 2 acting on e_x
+    "left-element": ("left", STAR, (1, 2), {1: 1}, (2, 2, 2)),  # x acting on e_2, past M(*, *)
+    "right-arrow": ("right", STAR, (1, 2), {1: 1}, (2, 2, 2)),  # e_x acted on by the arrow 2
+    "undeclared-object": ("compose", ("*", "?", "*"), (0, 0), {0: 1}, (0, 0, 2)),  # through "?"
 }
+
+
+def _past_its_spaces(which, key, entry, value, dims):
+    """The message of ``validate()`` for one entry past its spaces."""
+    return re.escape(f"{which} entry {entry} -> {sorted(value)} at {key!r} lies past its spaces "
+                     f"(dimensions {dims[0]} x {dims[1]} -> {dims[2]})")
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("corruption", PAST_THEIR_SPACES)
 def test_a_table_entry_past_its_space_raises_from_every_caller(corruption, field):
-    which, entry, value = PAST_THEIR_SPACES[corruption]
+    # validate() refuses each of these; so does every computation that reads
+    # the tables, with the same words, where it used to skip most of them
+    which, key, entry, value, dims = PAST_THEIR_SPACES[corruption]
     cat = dual_numbers(field)
     mod = CentralBimodule.regular(cat)
     f = Cochain(cat, mod, 1, {(("*", "*"), (1,)): {1: field.one}})
     eta = Cochain(cat, mod, 3, {(STAR4, (1, 1, 1)): {1: field.one}})
     table = cat.compose if which == "compose" else getattr(mod, which)
-    table[STAR][entry] = {k: field.of(c) for k, c in value.items()}
+    table.setdefault(key, {})[entry] = {k: field.of(c) for k, c in value.items()}
+    message = _past_its_spaces(which, key, entry, value, dims)
+    with pytest.raises(PreconditionViolation, match=f"^{message}$"):
+        (cat if which == "compose" else mod).validate()
     for call in (lambda: hh_dimensions(cat, mod, 2), lambda: cocycle_space(cat, mod, 1),
                  lambda: hochschild_differential(f), lambda: deform(cat, mod, eta)):
-        with pytest.raises(PreconditionViolation, match="^differential left the normalized subcomplex$"):
+        with pytest.raises(PreconditionViolation, match=f"^{message}$"):
             call()
 
 
