@@ -16,7 +16,6 @@ from .hochschild import (
     kernel_table,
     les_ledger,
     propagate_ranks,
-    pullback_cohomology_dim,
 )
 from .hodge import (
     Hypersurface,
@@ -25,6 +24,7 @@ from .hodge import (
     euler_characteristic,
     hodge_number,
     projective_space_hodge,
+    pullback_cohomology_dim,
     structure_sheaf_h0,
 )
 

@@ -6,7 +6,9 @@ canonical twist ``t = d - n - 2``:
 * ``hh_dim_on_X``: ``dim HH^m(X, O_X(p))`` as the column sum
   ``sum_i h^{i, i-m+n}_{t-p}(X)`` over the ``(t-p)``-twisted diamond;
 * ``hh_dim_pushforward``: ``dim HH^m(P^{n+1}, f_* O_X(p))`` as the analogous
-  column sum over the cohomology of restricted ambient forms;
+  column sum over the cohomology of restricted ambient forms
+  (:func:`thd.hodge.pullback_cohomology_dim`), which reads only Bott's table
+  for ``P^{n+1}`` and so shares no cell with the diamonds of ``X``;
 * ``kernel_dim``: the kernel of the pushforward map ``f_*`` on ``HH^m``,
   which picks out the interior of the middle line.
 
@@ -16,7 +18,9 @@ cell into its column, and the vector is cached per ``(n, d, p)``.
 
 The long exact sequence relating the three is mechanized as a rank
 propagation ledger (:func:`les_ledger`); it serves as the independent oracle
-for the closed-form kernel dimensions.
+for the closed-form kernel dimensions.  The first two families and the
+ledger take every twist; the kernel refuses ``t - p in {0, d}``, where its
+closed form drops Kronecker-delta corrections.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import ExactnessViolation, PreconditionViolation
-from .hodge import Hypersurface, _hodge, _support
+from .hodge import Hypersurface, _hodge, _pullback, _support
 
 TARGETS = ("onX", "pushforward", "kernel")
 
@@ -63,33 +67,6 @@ def hh_dim_on_X(X: Hypersurface, p: int, m: int) -> int:
     return _hh_on_X(X.n, X.d, p)[m] if 0 <= m <= 2 * X.n else 0
 
 
-def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
-    """``dim H^j(X, f^* Omega^i_{P^{n+1}}(p))``.
-
-    Case table over the cells ``j in {0, n, i, i-1}`` (0 elsewhere), with two
-    special entries where a connecting map subtracts a middle-line term.
-    """
-    return _pullback(X.n, X.d, p, i, j)
-
-
-def _pullback(n: int, d: int, p: int, i: int, j: int) -> int:
-    if i < 0 or i > n + 1 or j < 0 or j > n:
-        return 0
-    if (i, j) == (n, 0):
-        return _hodge(n, d, p, n, 0) + _hodge(n, d, p - d, n - 1, 0) - _hodge(n, d, p - d, n - 1, 1)
-    if (i, j) == (1, n):
-        return _hodge(n, d, p, 1, n) + _hodge(n, d, p - d, 0, n) - _hodge(n, d, p, 1, n - 1)
-    if j == 0:
-        return _hodge(n, d, p, i, 0) + _hodge(n, d, p - d, i - 1, 0)
-    if j == n:
-        return _hodge(n, d, p, i, n) + _hodge(n, d, p - d, i - 1, n)
-    if i == j:
-        return 1 if p == 0 else 0
-    if i - 1 == j:
-        return 1 if p == d else 0
-    return 0
-
-
 @lru_cache(maxsize=None)
 def _hh_push(n: int, d: int, p: int) -> Tuple[int, ...]:
     """``dim HH^m(P^{n+1}, f_* O_X(p))`` for ``m = 0 .. 2n+1``: the column ``j = n - m + i``
@@ -101,9 +78,9 @@ def _hh_push(n: int, d: int, p: int) -> Tuple[int, ...]:
 def hh_dim_pushforward(X: Hypersurface, p: int, m: int) -> int:
     """``dim HH^m(P^{n+1}, f_* O_X(p))`` as a column sum of pullback dimensions.
 
-    Requires ``t - p`` outside ``{0, d}``, as :func:`kernel_dim` does.
+    Every twist is answered, ``t - p in {0, d}`` included: the pullback
+    cells come from Bott's table, which carries those deltas itself.
     """
-    _require_nondegenerate_twist(X, p)
     return _hh_push(X.n, X.d, p)[m] if 0 <= m <= 2 * X.n + 1 else 0
 
 
@@ -149,10 +126,9 @@ class HochschildProfile:
 def hochschild_profile(X: Hypersurface, p: int, target: str) -> HochschildProfile:
     if target not in TARGETS:
         raise PreconditionViolation(f"unknown target {target!r}; expected one of {TARGETS}")
-    if target != "onX":
-        _require_nondegenerate_twist(X, p)
     n, d = X.n, X.d
     if target == "kernel":
+        _require_nondegenerate_twist(X, p)
         dims = {m: _kernel(n, d, p, m) for m in range(0, 2 * n + 2)}
     else:
         vector = _hh_on_X(n, d, p) + (0,) if target == "onX" else _hh_push(n, d, p)  # HH^{2n+1}(X) = 0
@@ -200,12 +176,11 @@ class ExactSequenceLedger:
 def les_ledger(X: Hypersurface, p: int) -> ExactSequenceLedger:
     """Build the long-exact-sequence ledger for coefficients ``O_X(p)``.
 
-    Raises :class:`PreconditionViolation` when ``t - p`` is degenerate and
+    Every twist is taken, ``t - p in {0, d}`` included; raises
     :class:`ExactnessViolation` if the dimension formulas are inconsistent.
     """
-    _require_nondegenerate_twist(X, p)
     n, d = X.n, X.d
-    # the three degree vectors, padded to i = 0 .. 2n+2; the twist is checked above
+    # the three degree vectors, padded to i = 0 .. 2n+2
     columns = zip((0, 0) + _hh_on_X(n, d, p + d), _hh_on_X(n, d, p) + (0, 0), _hh_push(n, d, p) + (0,))
     terms = [(label, i, dim) for i, dims in enumerate(columns) for label, dim in zip("ABC", dims)]
     ranks = propagate_ranks([dim for (_, _, dim) in terms])

@@ -22,7 +22,8 @@ the diagonal ``i = j``.  Each locus has its own exact evaluation:
   resolution on the ambient space and Serre duality;
 * edges ``j = 0`` (and ``j = n`` by Serre duality): a loop that peels off
   one exterior power at a time through the restriction of ambient
-  differential forms, and stops as soon as every remaining ambient term
+  differential forms (:func:`pullback_cohomology_dim`, from Bott's table
+  for ``P^{n+1}`` alone), and stops as soon as every remaining ambient term
   vanishes.  Closed-form edge expressions that truncate this loop are only
   valid for small twists; the loop is validated against an independent
   Euler-characteristic oracle (:func:`euler_characteristic`) in the tests.
@@ -200,27 +201,49 @@ def _middle(n: int, d: int, p: int, i: int) -> int:
     return total
 
 
+def pullback_cohomology_dim(X: Hypersurface, p: int, i: int, j: int) -> int:
+    """``dim H^j(X, f^* Omega^i_{P^{n+1}}(p))``, from Bott's table alone.
+
+    On ``P = P^m``, ``m = n + 1``, ``0 -> Omega^i_P(p-d) -(F)-> Omega^i_P(p) ->
+    f^* Omega^i_P(p) -> 0`` gives ``(b_j - r_j) + (a_{j+1} - r_{j+1})``, with
+    ``a_k = h^k(Omega^i_P(p-d))``, ``b_k = h^k(Omega^i_P(p))`` and ``r_k`` the
+    rank of ``F`` on ``H^k``.  Every ``r_k`` is forced: ``F`` is injective on
+    ``H^0`` (sections on an integral scheme), so ``r_0 = a_0``, and surjective
+    on ``H^m`` (Serre-dual to that), so ``r_m = b_m``; in between, Bott's deltas
+    ``delta_{p-d,0}`` and ``delta_{p,0}`` never make ``a_k`` and ``b_k`` both
+    nonzero, so ``r_k = 0``.
+    """
+    return _pullback(X.n, X.d, p, i, j)
+
+
+def _pullback(n: int, d: int, q: int, i: int, j: int) -> int:
+    if j < 0 or j > n:
+        return 0
+    m = n + 1
+    value = projective_space_hodge(m, q, i, j) + projective_space_hodge(m, q - d, i, j + 1)
+    if j == 0:
+        value -= projective_space_hodge(m, q - d, i, 0)
+    if j + 1 == m:
+        value -= projective_space_hodge(m, q, i, m)
+    return value
+
+
 @lru_cache(maxsize=None)
 def _edge_h0(n: int, d: int, i: int, q: int) -> int:
     """``h^{i,0}_q(X) = dim H^0(X, Omega^i_X(q))`` for ``0 <= i < n``.
 
-    Through the restricted ambient forms ``Omega^i_{P^{n+1}}|_X``:
+    By the conormal sequence, ``h^{i,0}_q(X) = h^0(Omega^i_P|_X(q)) - h^{i-1,0}_{q-d}(X)``,
+    whose first term is the ``j = 0`` cell of :func:`_pullback`; its ``a_1``
+    term is the defining equation itself, at ``(i, q) = (1, d)``.  The one
+    other correction is the hyperplane class at ``(i, q) = (2, d)`` when
+    ``n = 3``, where the step is instead pinned by the Euler characteristic.
 
-        h^0(Omega^i|_X(q)) = h^0(Omega^i_P(q)) - h^0(Omega^i_P(q-d))  (+1 at (i,q)=(1,d))
-        h^{i,0}_q(X)       = h^0(Omega^i|_X(q)) - h^{i-1,0}_{q-d}(X)
-
-    The two corrections are the only places a connecting map contributes:
-    the defining equation itself at ``(i, q) = (1, d)``, and the hyperplane
-    class at ``(i, q) = (2, d)`` when ``n = 3``, where the second step is
-    instead pinned by the Euler characteristic.
-
-    The second line is unrolled into a loop over the levels
+    The recursion is unrolled into a loop over the levels
     ``(i - k, q - kd)`` with alternating signs, ending in the section count
     of ``O_X(q - id)``.  Once ``q <= i`` the ambient terms vanish, since
     ``binom(q-1, i) = 0``, and they vanish on every level below too, so only
-    the +1 (reached when ``q = id``) and the last term are left.
+    the ``a_1`` term (reached when ``q = id``) and the last term are left.
     """
-    m = n + 1
     total, sign = 0, 1
     while i > 0:
         if n == 3 and i == 2 and q == d:
@@ -233,10 +256,7 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
                 sign = -sign
             q -= i * d
             break
-        restricted = projective_space_hodge(m, q, i, 0) - projective_space_hodge(m, q - d, i, 0)
-        if i == 1 and q == d:
-            restricted += 1
-        total += sign * restricted
+        total += sign * _pullback(n, d, q, i, 0)
         sign, i, q = -sign, i - 1, q - d
     return total + sign * _h0(n, d, q)
 

@@ -29,7 +29,7 @@ from thd import (
     pullback_cohomology_dim,
     structure_sheaf_h0,
 )
-from thd.ainfty import Budget, Cochain, FiniteLinearCategory, StasheffReport
+from thd.ainfty import Budget, CentralBimodule, Cochain, FiniteLinearCategory, StasheffReport
 from thd.ainfty.category import basis_vec, vclean
 from thd.ainfty.cochain import _differential_columns, differential_tables
 from thd.ainfty.linalg import exact_rank, multilinear, vadd
@@ -488,8 +488,71 @@ def beilinson(m, field):
     return FiniteLinearCategory(field, objects, dims, compose, {i: {0: one} for i in objects})
 
 
+def hypersurface_bimodule(cat, d, p):
+    """The bimodule ``M(a, b) = (S/F)_{b-a+p}`` over ``beilinson(m, field)``, F the Fermat form of degree d.
+
+    Over ``P^m`` it is ``RHom(T, T (x) f_* O_X(p))`` for the hypersurface ``X = {F = 0}``, as long
+    as ``p > d - m - 1``.  Basis: the monomials whose ``x_0``-exponent is below ``d``; both actions
+    multiply monomials and reduce ``x_0^d -> -(x_1^d + ... + x_m^d)``.
+    """
+    field, objects = cat.field, cat.objects
+    m = len(objects) - 1
+    basis = {(a, b): [u for u in _monomials(m + 1, b - a + p) if u[0] < d] for a in objects for b in objects}
+    index = {key: {u: k for k, u in enumerate(us)} for key, us in basis.items()}
+
+    def reduced(u):
+        if u[0] < d:
+            return Counter({u: 1})
+        out = Counter()
+        for v in range(1, m + 1):
+            w = list(u)
+            w[0], w[v] = w[0] - d, w[v] + d
+            out.subtract(reduced(tuple(w)))
+        return out
+
+    def product_vec(u, v, a, c):
+        w = tuple(s + t for s, t in zip(u, v))
+        return {index[(a, c)][z]: field.of(k) for z, k in reduced(w).items() if k}
+
+    homs = {key: _monomials(m + 1, key[1] - key[0]) for key in cat.dims}
+    left, right = {}, {}
+    for a, b, c in product(objects, repeat=3):
+        if (a, b) in homs and basis[(b, c)]:
+            left[(a, b, c)] = {(x, y): product_vec(u, v, a, c) for x, u in enumerate(homs[(a, b)])
+                               for y, v in enumerate(basis[(b, c)])}
+        if (b, c) in homs and basis[(a, b)]:
+            right[(a, b, c)] = {(y, x): product_vec(v, u, a, c) for y, v in enumerate(basis[(a, b)])
+                                for x, u in enumerate(homs[(b, c)])}
+    return CentralBimodule(cat, {key: len(us) for key, us in basis.items()}, left, right)
+
+
 # Second routes on the hypersurface side, kept as oracles for the closed
 # forms the library computes.
+
+
+def case_table_pullback(X, q, i, j):
+    """``dim H^j(X, f^* Omega^i_{P^{n+1}}(q))`` by the case table the library used before Bott's table.
+
+    It reads the diamonds of ``X`` itself.  Right for ``n >= 2`` and ``q`` outside ``{0, d}``;
+    wrong on curves and at those two twists, where it drops Kronecker deltas.
+    """
+    n, d = X.n, X.d
+    h = partial(hodge_number, X)
+    if i < 0 or i > n + 1 or j < 0 or j > n:
+        return 0
+    if (i, j) == (n, 0):
+        return h(q, n, 0) + h(q - d, n - 1, 0) - h(q - d, n - 1, 1)
+    if (i, j) == (1, n):
+        return h(q, 1, n) + h(q - d, 0, n) - h(q, 1, n - 1)
+    if j == 0:
+        return h(q, i, 0) + h(q - d, i - 1, 0)
+    if j == n:
+        return h(q, i, n) + h(q - d, i - 1, n)
+    if i == j:
+        return 1 if q == 0 else 0
+    if i - 1 == j:
+        return 1 if q == d else 0
+    return 0
 
 
 def hh_dim_on_X_closed_form(X, p, m):

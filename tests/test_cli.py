@@ -178,15 +178,18 @@ def test_pushforward_command(capsys):
     assert dims[0] == 0
 
 
-@pytest.mark.parametrize("n,d,p,m", [(2, 1, -4, 4), (2, 1, -3, 1), (2, 2, -4, 4), (2, 2, -2, 1)])
-def test_pushforward_refuses_degenerate_twists(capsys, n, d, p, m):
-    # at t - p in {0, d} the column sum drops Kronecker-delta corrections
-    # and gave dim HH^m = -1 at each of these
-    with pytest.raises(PreconditionViolation, match="t - p"):
-        hh_dim_pushforward(Hypersurface(n, d), p, m)
-    code, out, err = run(capsys, "pushforward", "--n", str(n), "--d", str(d), "--p", str(p))
-    assert code == 3 and out == ""
-    assert err.startswith("error:") and "t - p" in err
+@pytest.mark.parametrize("n,d,p,want", [(2, 1, -4, [0, 0, 3, 3, 0, 0]), (2, 1, -3, [0, 0, 3, 3, 0, 0]),
+                                          (2, 2, -4, [0, 0, 9, 9, 0, 0]), (2, 2, -2, [0, 0, 9, 9, 0, 0])],
+                         ids=["2-1--4", "2-1--3", "2-2--4", "2-2--2"])
+def test_pushforward_answers_degenerate_twists(capsys, n, d, p, want):
+    # at t - p in {0, d} the old case table dropped Kronecker deltas and read -1;
+    # Bott's table carries them
+    X = Hypersurface(n, d)
+    assert [hh_dim_pushforward(X, p, m) for m in range(2 * n + 2)] == want
+    code, out, err = run(capsys, "pushforward", "--n", str(n), "--d", str(d), "--p", str(p),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert [int(v) for _, v in json.loads(out)["entries"][1:]] == want
 
 
 def test_json_and_csv_never_render_the_pretty_diamond(monkeypatch):

@@ -60,6 +60,9 @@ CASES = _in_every_format(
     "ainfty hhdim --category data/dual_numbers.cat --up-to 2",
     "ainfty deform --category data/dual_numbers.cat --cochain data/square_zero.cochain",
 ) + [
+    # a curve and a degenerate twist t - p = d
+    "pushforward --n 1 --d 3 --p -5",
+    "pushforward --n 2 --d 3 --p -4",
     "--help",
     "diamond --help",
     "hh --help",

@@ -1,12 +1,19 @@
 import collections
-import hashlib
-from pathlib import Path
 
 import pytest
 
 import thd.hochschild
 import thd.hodge
-from oracles import full_column_hh_on_X, full_column_hh_push, hh_dim_on_X_closed_form, middle_alt_sum
+from oracles import (
+    beilinson,
+    case_table_pullback,
+    full_column_hh_on_X,
+    full_column_hh_push,
+    hh_dim_on_X_closed_form,
+    hypersurface_bimodule,
+    middle_alt_sum,
+    recursive_chi_ambient_forms,
+)
 from thd import (
     ExactnessViolation,
     Hypersurface,
@@ -24,6 +31,7 @@ from thd import (
     propagate_ranks,
     pullback_cohomology_dim,
 )
+from thd.ainfty import QQ, PrimeField, hh_dimensions
 from thd.hochschild import _hh_push
 
 X57 = Hypersurface(5, 7)
@@ -51,8 +59,7 @@ def test_two_route_equality_small_grid():
 
 
 def test_support_column_sums_match_the_full_columns():
-    # curves (n = 1) included: their values are wrong (ROADMAP item 6), but must not move;
-    # _hh_push is the ledger's route, which takes degenerate twists too
+    # curves (n = 1) and degenerate twists included
     for n in range(1, 13):
         for d in range(1, 10):
             X = Hypersurface(n, d)
@@ -87,21 +94,44 @@ def test_pullback_examples():
     assert pullback_cohomology_dim(X57, 8, 7, 0) == 0  # out of range
 
 
-# SHA-256 of every pullback_cohomology_dim on n 1..9, d 1..8, p -40..14, one list of the
-# (i, j) cells per twist, computed at 4616fd6: the corners (0, 0), (0, n), (n+1, 0) and
-# (n+1, n) must follow the edge rules
-PULLBACK_DIGEST = "ff36972cb545c12dad09ee7e9cceb2611d11702759bc9ef594e4779c0d12d4bc"
-
-
 def test_the_pullback_table_is_unchanged_on_a_grid():
-    digest = hashlib.sha256()
-    for n in range(1, 10):
+    # Bott's table gives the values of the old case table wherever that table is right:
+    # n >= 2 and a cell twist outside {0, d}
+    for n in range(2, 10):
         for d in range(1, 9):
             X = Hypersurface(n, d)
+            for q in range(-40, 15):
+                if q in (0, d):
+                    continue
+                for i in range(n + 2):
+                    for j in range(n + 1):
+                        assert pullback_cohomology_dim(X, q, i, j) == case_table_pullback(X, q, i, j), (n, d, q, i, j)
+
+
+def test_the_pushforward_euler_characteristic_is_the_ambient_one():
+    # sum_m (-1)^m HH^m(P, f_* O_X(p)) = chi(sum_i (-1)^i Lambda^i T_P (x) (O(p) - O(p-d))),
+    # with Lambda^i T_P = Omega^{n+1-i}_P(n+2), on every twist, curves and degenerate ones included
+    for n in range(1, 10):
+        chi = lambda q: sum((-1) ** i * recursive_chi_ambient_forms(n + 1, n + 1 - i, n + 2 + q)
+                            for i in range(n + 2))
+        for d in range(1, 9):
             for p in range(-40, 15):
-                cells = [pullback_cohomology_dim(X, p, i, j) for i in range(n + 2) for j in range(n + 1)]
-                digest.update(str(cells).encode("ascii"))
-    assert digest.hexdigest() == PULLBACK_DIGEST
+                pushed = sum((-1) ** m * dim for m, dim in enumerate(_hh_push(n, d, p)))
+                assert pushed == chi(p) - chi(p - d), (n, d, p)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+def test_the_curve_rows_equal_the_hypersurface_bimodule(field):
+    # HH of Beilinson's category of P^{n+1} with coefficients in (S/F)_{b-a+p}; it vanishes
+    # past degree n + 1, the global dimension
+    rows = {(1, 2, 0): [1, 8, 7], (1, 3, 1): [3, 15, 12], (1, 2, 1): [3, 12, 9],
+            (1, 4, 2): [6, 24, 18], (2, 2, 0): [1, 15, 39, 25]}
+    for (n, d, p), want in rows.items():
+        cat = beilinson(n + 1, field)
+        mod = hypersurface_bimodule(cat, d, p)
+        mod.validate()
+        assert hh_dimensions(cat, mod, n + 1) == want, (n, d, p)
+        assert _hh_push(n, d, p) == tuple(want) + (0,) * n, (n, d, p)
 
 
 def test_pushforward_examples():
@@ -129,8 +159,9 @@ def test_kernel_precondition():
         kernel_dim(X57, 0, 4)  # t - p = 0
     with pytest.raises(PreconditionViolation):
         kernel_dim(X57, -7, 4)  # t - p = d
-    with pytest.raises(PreconditionViolation):
-        les_ledger(X57, 0)
+    # the ledger takes degenerate twists: its three columns carry their deltas
+    for p in (0, -7):
+        assert les_ledger(X57, p).twist == p
 
 
 def test_kernel_out_of_range_degrees_vanish():
@@ -335,17 +366,18 @@ def test_the_twist_is_checked_once_per_table(monkeypatch):
                         lambda X, p: checks.append(p) or require(X, p))
     kernel_table(X57, -8)
     assert checks == [-8]
-    for target, expected in (("onX", []), ("pushforward", [-8]), ("kernel", [-8])):
+    for target, expected in (("onX", []), ("pushforward", []), ("kernel", [-8])):
         checks.clear()
         hochschild_profile(X57, -8, target)
         assert checks == expected, target
-    for table in (lambda: kernel_table(X57, 0), lambda: hochschild_profile(X57, -7, "pushforward")):
+    for table in (lambda: kernel_table(X57, 0), lambda: hochschild_profile(X57, -7, "kernel")):
         with pytest.raises(PreconditionViolation, match=r"^t - p = (0|7) lies in \{0, d\} for"):
             table()
 
 
 def test_the_ledger_makes_one_pass_per_twist(monkeypatch):
-    # one walk over each support cell, not one column sum per degree
+    # one walk over each support cell, not one column sum per degree; the pushforward
+    # column reads Bott's table, so every diamond cell is read once, by its own walk
     X = Hypersurface(5, 7)
     _clear_thd_caches()
     hodge_calls, pullback_calls = collections.Counter(), collections.Counter()
@@ -360,42 +392,27 @@ def test_the_ledger_makes_one_pass_per_twist(monkeypatch):
         return pullback(n, d, p, i, j)
 
     monkeypatch.setattr(thd.hochschild, "_hodge", counted_hodge)
+    monkeypatch.setattr(thd.hodge, "_hodge", counted_hodge)
     monkeypatch.setattr(thd.hochschild, "_pullback", counted_pullback)
+    _hh_push(5, 7, -8)
+    assert hodge_calls == {}
     ledger = les_ledger(X, -8)
     n, tp = 5, X.t + 8  # the (t-p)-diamond is twist 8, the (t-p-d)-diamond twist 1
     diamond_support = {(i, j) for i in range(n + 1) for j in (0, n, n - i, i)}
     pullback_support = {(i, j) for i in range(n + 2) for j in (0, n, i, i - 1) if 0 <= j <= n}
     assert len(diamond_support) == 20 and len(pullback_support) == 22
-    # the edge rules of the pullback table also read cells off the diamond, which are 0
-    inside = {(q, i, j): c for (q, i, j), c in hodge_calls.items() if 0 <= i <= n and 0 <= j <= n}
-    assert set(inside) == {(q, i, j) for q in (tp, tp - X.d) for i, j in diamond_support}
-    # once from the walk of the diamond, and once more where a pullback entry reads the cell
-    assert sum(inside.values()) == 66 and set(inside.values()) == {1, 2}
+    assert hodge_calls == collections.Counter((q, i, j) for q in (tp, tp - X.d) for i, j in diamond_support)
     assert pullback_calls == collections.Counter((tp, i, j) for i, j in pullback_support)
     assert thd.hochschild._hh_on_X.cache_info().misses == 2
     assert thd.hochschild._hh_push.cache_info().misses == 1
     assert ledger.kernel_of_fstar[8] == 20993
 
 
-def test_the_curve_ledger_failures_do_not_move():
-    # ROADMAP item 6: the ledger is inconsistent on curves; which twists fail, and how, is pinned
-    pinned = {}
-    for line in (Path(__file__).parent / "data" / "curve_ledger_failures.txt").read_text().splitlines():
-        if not line.startswith("#"):
-            d, p, message = line.split(" ", 2)
-            pinned[int(d), int(p)] = message
-    failures, passed = {}, []
-    for d in range(1, 9):
-        X = Hypersurface(1, d)
-        for p in range(-40, 15):
-            if X.t - p in (0, d):
-                continue
-            try:
-                les_ledger(X, p)
-            except ExactnessViolation as e:
-                failures[d, p] = str(e)
-            else:
-                passed.append((d, p))
-    assert len(failures) == 420 and passed == [(2, -2), (4, -1), (6, 0), (8, 1)]
-    assert failures[3, -5] == "negative rank -15 after term 5 (dims [0, 0, 0, 0, 15, 0])"
-    assert failures == pinned
+def test_the_ledger_is_exact_at_every_twist():
+    # 3,960 points, curves and the degenerate twists t - p in {0, d} included
+    for n in range(1, 10):
+        for d in range(1, 9):
+            for p in range(-40, 15):
+                les_ledger(Hypersurface(n, d), p)
+    ledger = les_ledger(Hypersurface(1, 3), -5)  # H^1(X, O_X(-5)) = 15 is a summand of HH^1(P^2, f_* O_X(-5))
+    assert [dim for (label, _, dim) in ledger.terms if label == "C"] == [0, 15, 21, 6, 0]
