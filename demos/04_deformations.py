@@ -35,6 +35,15 @@ mod = CentralBimodule.regular(cat)
 # Hochschild cohomology of the dual numbers in characteristic zero.
 print("HH^* of k[x]/(x^2):", hh_dimensions(cat, mod, 5))
 
+# HH is Morita invariant: M_2(k[x]/(x^2)) has the same HH as k[x]/(x^2).
+# hh_dimensions splits the identity E11 + E22 into two objects, one per
+# summand, so it counts on a far smaller cochain complex.
+m2 = tensor_with_algebra(cat, matrix_algebra())
+dual, matrices = hh_dimensions(cat, mod, 4), hh_dimensions(m2, CentralBimodule.regular(m2), 4)
+print("HH^* of k[x]/(x^2) to degree 4:     ", dual)
+print("HH^* of M_2(k[x]/(x^2)) to degree 4:", matrices)
+assert matrices == dual
+
 # The degree-3 cocycle space is one-dimensional; its generator sends
 # (x, x, x) to x.
 (generator,) = cocycle_space(cat, mod, 3)

@@ -340,6 +340,67 @@ def restricted_bimodule(F: LinearFunctor, M: CentralBimodule) -> CentralBimodule
     return CentralBimodule(src, dims, left, right)
 
 
+def _split_idempotents(cat: FiniteLinearCategory, mod: CentralBimodule):
+    """``(cat', mod')`` with an object ``(a, i)`` per summand ``e_i`` of a split ``id_a``, else None.
+
+    ``id_a`` splits when it is a sum of basis vectors with ``e_i e_j = delta_ij e_i``; other objects
+    stay whole as ``(a, None)``.  ``hom((a, i), (b, j)) = e_i hom(a, b) e_j``, and ``M`` alike, so
+    HH is unchanged (Morita invariance).  None when nothing splits, when some basis vector is fixed
+    by no idempotent on a side, or when a nonzero table entry leaves its blocks; an idempotent that
+    neither fixes nor kills a basis vector makes such an entry.
+    """
+    one, parts = cat.field.one, {}
+    for a in cat.objects:
+        e = vclean(cat.identities.get(a, {}))
+        if not set(e) <= set(range(cat.dim(a, a))):
+            return None
+        split = all(c == one and vclean(cat.diag(a, a, a, i, j)) == ({i: one} if i == j else {})
+                    for i, c in e.items() for j in e)
+        parts[a] = [((a, i), {i: one}) for i in sorted(e)] if split else [((a, None), e)]
+    if max(map(len, parts.values()), default=0) < 2:
+        return None
+
+    def blocks(dims, lact, ract):  # (a, b, x) -> (A, B, index of e_x in hom(A, B)); block sizes
+        place, sizes = {}, {}
+        for (a, b), d in dims.items():
+            for x in range(d):
+                e = {x: one}
+                left = [multilinear(partial(lact, a, a, b), [u, e]) for _, u in parts.get(a, ())]
+                right = [multilinear(partial(ract, a, b, b), [e, u]) for _, u in parts.get(b, ())]
+                if e not in left or e not in right:
+                    return None
+                key = (parts[a][left.index(e)][0], parts[b][right.index(e)][0])
+                place[(a, b, x)] = (*key, sizes.get(key, 0))
+                sizes[key] = place[(a, b, x)][2] + 1
+        return place, sizes
+
+    def relabel(table, first, second, value):  # the table on the blocks, None if an entry leaves them
+        out = {}
+        for (a, b, c), pairs in table.items():
+            for (x, y), vec in pairs.items():
+                s, t, image = first.get((a, b, x)), second.get((b, c, y)), {}
+                for k, coeff in vclean(vec).items():
+                    k = value.get((a, c, k))
+                    if None in (s, t, k) or s[1] != t[0] or k[:2] != (s[0], t[1]):
+                        return None
+                    image[k[2]] = coeff
+                if image:
+                    out.setdefault((s[0], s[1], t[1]), {})[(s[2], t[2])] = image
+        return out
+
+    hom, bimod = blocks(cat.dims, cat.diag, cat.diag), blocks(mod.dims, mod.lact, mod.ract)
+    if hom is None or bimod is None:
+        return None
+    (hp, hs), (mp, ms) = hom, bimod
+    tables = [relabel(cat.compose, hp, hp, hp), relabel(mod.left, hp, mp, mp),
+              relabel(mod.right, mp, hp, mp)]
+    if None in tables:
+        return None
+    ids = {p: {hp[(a, a, k)][2]: c for k, c in u.items()} for a, ps in parts.items() for p, u in ps}
+    new = FiniteLinearCategory(cat.field, list(ids), hs, tables[0], ids)
+    return new, CentralBimodule(new, ms, tables[1], tables[2])
+
+
 def pair_index(h: int, g: int, gdim: int) -> int:
     return h * gdim + g
 

@@ -488,6 +488,24 @@ def beilinson(m, field):
     return FiniteLinearCategory(field, objects, dims, compose, {i: {0: one} for i in objects})
 
 
+def as_one_algebra(cat):
+    """``cat`` as one algebra on the object ``"*"``: the direct sum of its hom spaces.
+
+    The hom spaces are concatenated in the order of ``cat.dims``; a product of
+    arrows that do not compose is zero, and the identity is the sum of the
+    identities of the objects.
+    """
+    offset, total = {}, 0
+    for key, dim in cat.dims.items():
+        offset[key], total = total, total + dim
+    table = {(offset[(a, b)] + x, offset[(b, c)] + y): {offset[(a, c)] + k: coeff
+                                                        for k, coeff in vec.items()}
+             for (a, b, c), pairs in cat.compose.items() for (x, y), vec in pairs.items() if vec}
+    unit = {offset[(a, a)] + k: coeff for a, vec in cat.identities.items() for k, coeff in vec.items()}
+    o = "*"
+    return FiniteLinearCategory(cat.field, [o], {(o, o): total}, {(o, o, o): table}, {o: unit})
+
+
 def hypersurface_bimodule(cat, d, p):
     """The bimodule ``M(a, b) = (S/F)_{b-a+p}`` over ``beilinson(m, field)``, F the Fermat form of degree d.
 
