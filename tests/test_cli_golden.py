@@ -75,6 +75,12 @@ CASES = _in_every_format(
     "ainfty hhdim --help",
     "ainfty deform --help",
     # exit 2
+    "",
+    "bogus",
+    "ainfty",
+    "ainfty bogus",
+    "diamond --n 3 --d 4 --twist 1 --bogus",
+    "ainfty hhdim --example dual-numbers --bogus",
     "diamond --n 5",
     "diamond --n 0 --d 7 --twist 8",
     "hh --n 5 --d 7 --p -8 --target bogus",
