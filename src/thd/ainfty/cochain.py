@@ -151,6 +151,23 @@ def differential_tables(cat: FiniteLinearCategory, mod: CentralBimodule):
     return _tables(cat, mod, normalized=False)
 
 
+def _refuse_entries_past_spaces(cat: FiniteLinearCategory, mod: CentralBimodule) -> None:
+    """Raise, with the words of ``validate()``, on a table entry past its spaces."""
+    _entry_past_spaces("compose", cat.compose, cat.objects, cat.dim, cat.dim, cat.dim)
+    _entry_past_spaces("left", mod.left, cat.objects, cat.dim, mod.dim, mod.dim)
+    _entry_past_spaces("right", mod.right, cat.objects, mod.dim, cat.dim, mod.dim)
+
+
+def _refuse_before_rebuilding(cat: FiniteLinearCategory, mod: CentralBimodule) -> None:
+    """Check the caller's tables if an identity is not a basis vector, and so gets swapped in.
+
+    ``_split_idempotents`` and :func:`identity_basis_change` rebuild the tables over in-range
+    arguments, so :func:`_tables` sees only the rebuilt ones; otherwise it is the one check.
+    """
+    if any(cat.dim(a, a) and cat.id_basis_index(a) is None for a in cat.objects):
+        _refuse_entries_past_spaces(cat, mod)
+
+
 def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     """The structure tensors as raw numbers (:func:`~.linalg.raw`), indexed per basis key.
 
@@ -161,13 +178,10 @@ def _tables(cat: FiniteLinearCategory, mod: CentralBimodule, normalized: bool):
     Not cached: tensors can change.  ``normalized`` checks the unit laws and
     drops the terms of ``id . e_m``, ``e_m . id`` and the splits ``(id, k)``
     and ``(k, id)``, still counted: an action entry keeps its place.  A table
-    entry past its spaces raises first, with the words of ``validate()``
-    (:func:`~.category._entry_past_spaces`), so every term of
-    :func:`_block_columns` lands in its target block.
+    entry past its spaces raises first (:func:`_refuse_entries_past_spaces`),
+    so every term of :func:`_block_columns` lands in its target block.
     """
-    _entry_past_spaces("compose", cat.compose, cat.objects, cat.dim, cat.dim, cat.dim)
-    _entry_past_spaces("left", mod.left, cat.objects, cat.dim, mod.dim, mod.dim)
-    _entry_past_spaces("right", mod.right, cat.objects, mod.dim, cat.dim, mod.dim)
+    _refuse_entries_past_spaces(cat, mod)
     field = cat.field
     units = {a: cat.id_basis_index(a) for a in cat.objects if normalized and cat.dim(a, a)}
     ids = {a: {i: field.one} for a, i in units.items()}
@@ -383,6 +397,7 @@ def hh_dimensions(
     assembled when degree ``k + 1`` has no basis keys: its rank is 0.
     """
     budget = budget or Budget()
+    _refuse_before_rebuilding(cat, mod)
     cat, mod = _split_idempotents(cat, mod) or (cat, mod)
     cat, mod, _, _ = identity_basis_change(cat, mod)
     bases = [cochain_basis(cat, mod, k, budget) for k in range(up_to + 2)]
@@ -405,6 +420,7 @@ def cocycle_space(
     They are found with the identities swapped into the basis, then pulled back.
     """
     budget = budget or Budget()
+    _refuse_before_rebuilding(cat, mod)
     work_cat, work_mod, into, _ = identity_basis_change(cat, mod)
     basis = cochain_basis(work_cat, work_mod, degree, budget)
     target = cochain_basis(work_cat, work_mod, degree + 1, budget)

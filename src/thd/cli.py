@@ -4,6 +4,10 @@ Subcommands: diamond, hh, pushforward, kernel, search, quadric,
 ainfty {verify|hhdim|deform}.  Exit codes: 0 success, 2 usage error,
 3 precondition failure, 4 internal inconsistency (oracle disagreement),
 5 evaluation budget exceeded; ``EXIT_CODES`` maps each error type to its code.
+
+Each call builds the parser of the one command its words name (:func:`build_parser`), and
+imports :mod:`thd.ainfty` only for ``thd ainfty``; what it prints and returns is the same
+as with every command built.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import re
 import sys
 from pathlib import Path
 
-from . import ainfty as ai
-from .ainfty.examples import category_entry
 from .errors import (BudgetExceeded, ExactnessViolation, NotACocycle, PreconditionViolation,
                      UsageError)
 from .hochschild import (
@@ -116,8 +118,16 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def _ainfty():
+    """:mod:`thd.ainfty`, imported by the ``ainfty`` commands alone: the others never load it."""
+    from . import ainfty
+
+    return ainfty
+
+
 def _load_subject(args, parser):
     """The --budget, and the structure or category of --example / --category [--cochain]."""
+    ai = _ainfty()
     budget = ai.Budget(args.budget)
     if args.example and args.category:
         parser.error("give either --example or --category, not both")
@@ -126,7 +136,8 @@ def _load_subject(args, parser):
         return dict(entry, source=f"example {args.example}"), budget
     if args.category:
         cat = ai.parse_category(_read(args.category))
-        entry = dict(category_entry(cat, f"category from {args.category}"), source=args.category)
+        entry = ai.examples.category_entry(cat, f"category from {args.category}")
+        entry["source"] = args.category
         if getattr(args, "cochain", None):
             entry["cochain"] = ai.parse_cochain(_read(args.cochain), cat, entry["bimodule"])
         return entry, budget
@@ -134,6 +145,7 @@ def _load_subject(args, parser):
 
 
 def _as_structure(entry, budget):
+    ai = _ainfty()
     if entry["kind"] == "structure":
         return entry["structure"]
     if "cochain" in entry:
@@ -159,7 +171,7 @@ def _nonnegative(flag: str, value: int) -> None:
 def cmd_ainfty_verify(args, parser) -> OutputDocument:
     _nonnegative("--k-max", args.k_max)
     entry, budget = _load_subject(args, parser)
-    report = ai.verify_stasheff(_as_structure(entry, budget), args.k_max, budget)
+    report = _ainfty().verify_stasheff(_as_structure(entry, budget), args.k_max, budget)
     fields = {
         "k_max": str(args.k_max),
         "passed": _passed(report),
@@ -180,7 +192,7 @@ def cmd_ainfty_hhdim(args, parser) -> OutputDocument:
     entry, budget = _load_subject(args, parser)
     if entry["kind"] != "category":
         parser.error("hhdim needs a linear category (not a deformed structure)")
-    dims = ai.hh_dimensions(entry["category"], entry["bimodule"], args.up_to, budget)
+    dims = _ainfty().hh_dimensions(entry["category"], entry["bimodule"], args.up_to, budget)
     rows = [[str(k), str(v)] for k, v in enumerate(dims)]
     pretty = f"Hochschild cohomology of {entry['description']}\n" + table_pretty(
         ["degree", "dim"], rows
@@ -196,7 +208,7 @@ def cmd_ainfty_deform(args, parser) -> OutputDocument:
     support = A.support()
     n = max(support) if support else 2
     k_max = max(7, n + 2)
-    report = ai.verify_stasheff(A, k_max, budget)
+    report = _ainfty().verify_stasheff(A, k_max, budget)
     hom_rows = [
         [f"{a}->{b}", str(len(degs)), " ".join(map(str, degs))]
         for (a, b), degs in sorted(A.basis.items(), key=repr)
@@ -215,91 +227,121 @@ def cmd_ainfty_deform(args, parser) -> OutputDocument:
     return _report(entry, fields, pretty)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_commands(parent, dest, words, commands) -> None:
+    """Add to ``parent`` the one of ``commands`` that ``words[0]`` names, or all of them.
+
+    ``commands`` maps a name to ``(help, func, declare)``: ``declare(p)`` adds the flags of a
+    command that ``func`` runs, or ``declare`` is the table of a group and ``func`` its ``dest``.
+    A lone command keeps the usage line of the whole tree through ``metavar``, which on the
+    whole tree would rewrite argparse's words for a missing or unknown command.
+    """
+    named = words[0] if words and words[0] in commands else None
+    sub = parent.add_subparsers(dest=dest, required=True,
+                                metavar="{%s}" % ",".join(commands) if named else None)
+    for name in [named] if named else commands:
+        help, func, declare = commands[name]
+        p = sub.add_parser(name, help=help)
+        if isinstance(declare, dict):
+            _add_commands(p, func, words[1:] if named else (), declare)
+        else:
+            declare(p)
+            p.set_defaults(func=func, parser=p)
+
+
+def build_parser(words=()) -> argparse.ArgumentParser:
+    """The parser of ``thd`` for the words of argv, holding only the command they name.
+
+    ``main`` runs one command per call, so the others are not built.  When the first word
+    names no command (``--help``, a typo, no words) the tree holds every command, and after
+    ``ainfty`` every subcommand unless the next word names one.
+    """
     parser = argparse.ArgumentParser(
         prog="thd",
         description="Twisted Hodge diamonds, Hochschild dimensions, pushforward "
         "kernels and A-infinity deformation checks, all in exact arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
 
-    def add_command(parent, name, help, func, *integers, **defaults):
-        """A subcommand of ``parent`` that requires the integer flags ``integers``."""
-        p = parent.add_parser(name, help=help)
-        for flag in integers:
+    def integers(p, *flags):
+        for flag in flags:
             p.add_argument(flag, type=int, required=True)
-        p.set_defaults(func=func, parser=p, **defaults)
-        return p
 
-    def add_degree_command(name, help, func, **defaults):
-        """A subcommand on the Hochschild degrees of ``(n, d, p)``, or on only ``--m``."""
-        p = add_command(sub, name, help, func, "--n", "--d", "--p", **defaults)
+    def degrees(p):
+        """The flags of a command on the Hochschild degrees of ``(n, d, p)``, or on only ``--m``."""
+        integers(p, "--n", "--d", "--p")
         p.add_argument("--m", type=int, default=None)
         return p
 
-    add_command(sub, "diamond", "twisted Hodge diamond of a hypersurface", cmd_diamond,
-                "--n", "--d", "--twist")
-
-    p = add_degree_command("hh", "Hochschild dimension profile", cmd_hh)
-    p.add_argument("--target", choices=TARGETS, default="onX")
-
-    add_degree_command("pushforward", "Hochschild dimensions of the direct image", cmd_hh,
-                       target="pushforward")
-
-    p = add_degree_command("kernel", "kernel dimensions of the pushforward map", cmd_kernel)
-    p.add_argument("--verify-les", action="store_true", dest="verify_les",
-                   help="cross-check against the exact-sequence ledger")
-
-    p = add_command(sub, "search", "candidate deformation-class table over a grid", cmd_search)
-    # let values like -8..-8 pass for flags taking ranges
-    p._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
-    for flag in ("--n", "--d", "--p"):
-        p.add_argument(flag, required=True, help="range a..b or single value")
-
-    add_command(sub, "quadric", "guaranteed one-dimensional kernel for odd quadric-family "
-                "parameters", cmd_quadric, "--k", "--d")
-
-    # each command above takes --format after its own flags
-    for p in sub.choices.values():
+    # each command of the hypersurface half takes --format after its own flags
+    def diamond(p):
+        integers(p, "--n", "--d", "--twist")
         add_format(p)
 
-    p = sub.add_parser("ainfty", help="finite-dimensional deformation engine")
-    asub = p.add_subparsers(dest="ainfty_command", required=True)
+    def hh(p):
+        degrees(p).add_argument("--target", choices=TARGETS, default="onX")
+        add_format(p)
 
-    def add_subject(sp, with_cochain=True):
-        sp.add_argument("--example", default=None,
-                        help="bundled example name (see README); e.g. a2-deformed")
-        sp.add_argument("--category", default=None, help="category file")
+    def pushforward(p):
+        degrees(p).set_defaults(target="pushforward")
+        add_format(p)
+
+    def kernel(p):
+        degrees(p).add_argument("--verify-les", action="store_true", dest="verify_les",
+                                help="cross-check against the exact-sequence ledger")
+        add_format(p)
+
+    def search(p):
+        # let values like -8..-8 pass for flags taking ranges
+        p._negative_number_matcher = re.compile(r"^-\d+(\.\.-?\d+)?$")
+        for flag in ("--n", "--d", "--p"):
+            p.add_argument(flag, required=True, help="range a..b or single value")
+        add_format(p)
+
+    def quadric(p):
+        integers(p, "--k", "--d")
+        add_format(p)
+
+    def subject(p, with_cochain=True):
+        p.add_argument("--example", default=None,
+                       help="bundled example name (see README); e.g. a2-deformed")
+        p.add_argument("--category", default=None, help="category file")
         if with_cochain:
-            sp.add_argument("--cochain", default=None, help="cochain file")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--budget", type=int, default=None,
-                        help="evaluation cap (overrides THD_BUDGET; default 10^7)")
-        add_format(sp)
+            p.add_argument("--cochain", default=None, help="cochain file")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--budget", type=int, default=None,
+                       help="evaluation cap (overrides THD_BUDGET; default 10^7)")
+        add_format(p)
+        return p
 
-    sp = add_command(asub, "verify", "check the defining identities and unitality",
-                     cmd_ainfty_verify)
-    add_subject(sp)
-    sp.add_argument("--k-max", type=int, default=7, dest="k_max")
+    def verify(p):
+        subject(p).add_argument("--k-max", type=int, default=7, dest="k_max")
 
-    sp = add_command(asub, "hhdim", "Hochschild cohomology dimensions of a category",
-                     cmd_ainfty_hhdim)
-    add_subject(sp, with_cochain=False)
-    sp.add_argument("--up-to", type=int, default=4, dest="up_to")
+    def hhdim(p):
+        subject(p, with_cochain=False).add_argument("--up-to", type=int, default=4, dest="up_to")
 
-    sp = add_command(asub, "deform", "deform a category along a cochain and verify",
-                     cmd_ainfty_deform)
-    add_subject(sp)
-
+    _add_commands(parser, "command", words, {
+        "diamond": ("twisted Hodge diamond of a hypersurface", cmd_diamond, diamond),
+        "hh": ("Hochschild dimension profile", cmd_hh, hh),
+        "pushforward": ("Hochschild dimensions of the direct image", cmd_hh, pushforward),
+        "kernel": ("kernel dimensions of the pushforward map", cmd_kernel, kernel),
+        "search": ("candidate deformation-class table over a grid", cmd_search, search),
+        "quadric": ("guaranteed one-dimensional kernel for odd quadric-family parameters",
+                    cmd_quadric, quadric),
+        "ainfty": ("finite-dimensional deformation engine", "ainfty_command", {
+            "verify": ("check the defining identities and unitality", cmd_ainfty_verify, verify),
+            "hhdim": ("Hochschild cohomology dimensions of a category", cmd_ainfty_hhdim, hhdim),
+            "deform": ("deform a category along a cochain and verify", cmd_ainfty_deform,
+                       subject),
+        }),
+    })
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(words).parse_args(words)
     try:
         text = args.func(args, args.parser).render(args.format)
     except tuple(EXIT_CODES) as exc:

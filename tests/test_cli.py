@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from thd.ainfty import (
     tensor_with_algebra,
 )
 from thd.ainfty.examples import a2_path_category, dual_numbers, matrix_algebra, square_zero_cocycle
-from thd.cli import main
+from thd.cli import build_parser, main
 from thd.errors import PreconditionViolation
 
 EX1_PRETTY = """\
@@ -507,3 +508,48 @@ def test_cochain_target_out_of_range_is_a_format_error(tmp_path, capsys):
                          "--cochain", str(eta_file))
     assert code == 3 and out == ""
     assert "target index 2 out of range" in err and "not closed" not in err
+
+
+def _registered(parser):
+    """The subcommands registered on ``parser``, each mapped to those registered on it."""
+    return {name: _registered(sub)
+            for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+            for name, sub in action.choices.items()}
+
+
+AINFTY = {"verify": {}, "hhdim": {}, "deform": {}}
+EVERY_COMMAND = {"diamond": {}, "hh": {}, "pushforward": {}, "kernel": {}, "search": {},
+                 "quadric": {}, "ainfty": AINFTY}
+
+
+@pytest.mark.parametrize("words", [
+    ["diamond", "--n", "5", "--d", "7", "--twist", "8"], ["hh"], ["pushforward", "--help"],
+    ["kernel", "--n", "5"], ["search"], ["quadric", "--k", "3"], ["ainfty", "verify"],
+    ["ainfty", "hhdim", "--up-to", "2"], ["ainfty", "deform", "--help"],
+], ids=" ".join)
+def test_the_parser_holds_only_the_named_command(words):
+    # one subparser at each level the words name: the others are never built
+    expected = {words[0]: {words[1]: {}} if words[0] == "ainfty" else {}}
+    assert _registered(build_parser(words)) == expected
+
+
+@pytest.mark.parametrize("words", [[], ["--help"], ["-h"], ["bogus"], ["bogus", "diamond"],
+                                   ["--format", "json", "diamond"]], ids=" ".join)
+def test_words_that_name_no_command_get_the_whole_tree(words):
+    assert _registered(build_parser(words)) == EVERY_COMMAND
+    assert _registered(build_parser()) == EVERY_COMMAND
+
+
+@pytest.mark.parametrize("words", [["ainfty"], ["ainfty", "--help"], ["ainfty", "bogus"],
+                                   ["ainfty", "--budget", "3", "verify"]], ids=" ".join)
+def test_ainfty_without_a_named_subcommand_gets_all_three(words):
+    assert _registered(build_parser(words)) == {"ainfty": AINFTY}
+
+
+def test_importing_the_cli_leaves_the_deformation_engine_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = "import sys, thd.cli; print('thd.ainfty' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

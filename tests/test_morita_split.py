@@ -19,6 +19,7 @@ from thd.ainfty import (
     FiniteLinearCategory,
     PrimeField,
     build_example,
+    cocycle_space,
     example_names,
     hh_dimensions,
     tensor_with_algebra,
@@ -171,12 +172,25 @@ def test_a_basis_vector_fixed_by_no_idempotent_keeps_the_unsplit_answer(field):
         assert _spent(cat, mod, up_to) == want
 
 
+PAST_ITS_SPACES = {  # a product that reads or writes past hom(*, *), of dimension 4
+    "argument": ((0, 9), {0: 1}, "compose entry (0, 9) -> [0]"),  # once [4, 2, 2] and 12 cocycles
+    "output": ((2, 2), {9: 1}, "compose entry (2, 2) -> [9]"),  # once a bare IndexError
+}
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_an_entry_past_its_spaces_keeps_the_unsplit_answer(field):
-    # the unsplit path rebuilds the table over in-range arguments, so it drops the entry
-    cat, mod = _edited(_dual_x_k2(field), {(0, 9): {0: field.one}})
-    assert _split_idempotents(cat, mod) is None
-    assert _spent(cat, mod, 3) == ([4, 2, 2, 2], 2348)
+@pytest.mark.parametrize("name", list(PAST_ITS_SPACES))
+def test_an_entry_past_its_spaces_is_refused_before_the_identity_is_swapped(name, field):
+    # the split and the swap rebuild the table over in-range arguments, which would drop
+    # the entry or read past it: the caller's tables are checked first, as validate() does
+    pair, vec, entry = PAST_ITS_SPACES[name]
+    cat, mod = _edited(_dual_x_k2(field), {pair: {k: field.of(c) for k, c in vec.items()}})
+    words = f"{entry} at ('*', '*', '*') lies past its spaces (dimensions 4 x 4 -> 4)"
+    for call in (cat.validate, lambda: hh_dimensions(cat, mod, 2),
+                 lambda: cocycle_space(cat, mod, 2)):
+        with pytest.raises(PreconditionViolation) as info:
+            call()
+        assert str(info.value) == words
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
