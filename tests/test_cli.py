@@ -533,11 +533,11 @@ def test_the_parser_holds_only_the_named_command(words):
     assert _registered(build_parser(words)) == expected
 
 
-@pytest.mark.parametrize("words", [[], ["--help"], ["-h"], ["bogus"], ["bogus", "diamond"],
-                                   ["--format", "json", "diamond"]], ids=" ".join)
+@pytest.mark.parametrize("words", [None, [], ["--help"], ["-h"], ["bogus"], ["bogus", "diamond"],
+                                   ["--format", "json", "diamond"]], ids=str)
 def test_words_that_name_no_command_get_the_whole_tree(words):
-    assert _registered(build_parser(words)) == EVERY_COMMAND
-    assert _registered(build_parser()) == EVERY_COMMAND
+    parser = build_parser() if words is None else build_parser(words)
+    assert _registered(parser) == EVERY_COMMAND
 
 
 @pytest.mark.parametrize("words", [["ainfty"], ["ainfty", "--help"], ["ainfty", "bogus"],
