@@ -125,6 +125,8 @@ class FiniteLinearCategory:
     def __init__(self, field, objects, dims, compose, identities):
         self.field = field
         self.objects: Tuple = tuple(objects)
+        if repeated := [a for k, a in enumerate(self.objects) if a in self.objects[:k]]:
+            raise PreconditionViolation(f"object {repeated[0]!r} is declared twice")
         self.dims: Dict[Tuple, int] = {k: v for k, v in dims.items() if v}
         self.compose = compose  # (a,b,c) -> {(x in hom(a,b), y in hom(b,c)): Vec in hom(a,c)}
         self.identities: Dict[object, Vec] = identities

@@ -16,7 +16,7 @@ is the function-order composition ``hom(b,c) x hom(a,b) -> hom(a,c)``.
 This module is the only place that knows function order: in memory, the
 composition table is keyed in diagram order, ``(IN2, IN1)``.
 Coefficients are integers or rationals ``p/q``.  Every index must lie in the
-range of its hom space and every object must be declared.
+range of its hom space and every object must be declared exactly once.
 
 Cochain files carry one degree line and component records::
 
@@ -68,19 +68,22 @@ def parse_category(text: str) -> FiniteLinearCategory:
             if kind == "field":
                 field = field_by_name(" ".join(tok[1:]))
             elif kind in ("object", "objects"):
-                objects.extend(tok[1:])
+                for a in tok[1:]:
+                    if a in objects:
+                        raise ValueError(f"object {a!r} is declared twice")
+                    objects.append(a)
             elif kind == "hom":
                 a, b, d = tok[1], tok[2], int(tok[3])
                 if d < 0:
-                    raise FormatError(f"line {lineno}: negative dimension {d} for hom({a!r},{b!r})")
+                    raise ValueError(f"negative dimension {d} for hom({a!r},{b!r})")
                 dims[(a, b)] = d
             elif kind == "id":
                 explicit_ids[tok[1]] = (lineno, int(tok[2]))
             elif kind == "compose":
                 records.append((lineno, *tok[1:4], *map(int, tok[4:7]), field.of(tok[7])))
             else:
-                raise FormatError(f"line {lineno}: unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
+                raise ValueError(f"unknown record {kind!r}")
+        except (IndexError, ValueError) as exc:  # a bad record, named by its line
             raise FormatError(f"line {lineno}: {exc}") from exc
     if not objects:
         raise FormatError("no objects declared")
@@ -125,11 +128,11 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
                 degree = int(tok[1])
             elif kind == "component":
                 if degree is None:
-                    raise FormatError(f"line {lineno}: component before cochain degree")
+                    raise ValueError("component before cochain degree")
                 rest = " ".join(tok[1:])
                 parts = [p.split() for p in rest.split(":")]
                 if len(parts) != 4:
-                    raise FormatError(f"line {lineno}: expected 'chain : args : target : coeff'")
+                    raise ValueError("expected 'chain : args : target : coeff'")
                 chain = tuple(parts[0])
                 args = tuple(int(x) for x in parts[1])
                 (target,) = (int(x) for x in parts[2])
@@ -138,8 +141,8 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
                 c = cat.field.of(coeff_tok)
                 vec[target] = vec.get(target, cat.field.zero) + c
             else:
-                raise FormatError(f"line {lineno}: unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
+                raise ValueError(f"unknown record {kind!r}")
+        except (IndexError, ValueError) as exc:  # a bad record, named by its line
             raise FormatError(f"line {lineno}: {exc}") from exc
     if degree is None:
         raise FormatError("no cochain degree declared")

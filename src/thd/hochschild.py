@@ -126,13 +126,10 @@ class HochschildProfile:
 def hochschild_profile(X: Hypersurface, p: int, target: str) -> HochschildProfile:
     if target not in TARGETS:
         raise PreconditionViolation(f"unknown target {target!r}; expected one of {TARGETS}")
-    n, d = X.n, X.d
     if target == "kernel":
-        _require_nondegenerate_twist(X, p)
-        dims = {m: _kernel(n, d, p, m) for m in range(0, 2 * n + 2)}
-    else:
-        vector = _hh_on_X(n, d, p) + (0,) if target == "onX" else _hh_push(n, d, p)  # HH^{2n+1}(X) = 0
-        dims = dict(enumerate(vector))
+        dims = {**kernel_table(X, p), 2 * X.n + 1: 0}
+    else:  # HH^{2n+1}(X) = 0
+        dims = dict(enumerate(_hh_on_X(X.n, X.d, p) + (0,) if target == "onX" else _hh_push(X.n, X.d, p)))
     return HochschildProfile(X, p, target, dims)
 
 

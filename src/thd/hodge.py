@@ -28,11 +28,11 @@ the diagonal ``i = j``.  Each locus has its own exact evaluation:
   valid for small twists; the loop is validated against an independent
   Euler-characteristic oracle (:func:`euler_characteristic`) in the tests.
 
-Every evaluation is a loop (the ``n = 3`` edge correction makes one nested
-call), so the cost of a diamond is linear in ``n`` for a fixed twist and no
-dimension fails on recursion depth.  :func:`diamond` fills each locus
-straight from its evaluation; :func:`hodge_number` dispatches one cell at a
-time through the case table ``_hodge``, with the same precedence.
+Every evaluation is a loop with no nested call, so the cost of a diamond is
+linear in ``n`` for a fixed twist and no dimension fails on recursion depth.
+:func:`diamond` fills each locus straight from its evaluation;
+:func:`hodge_number` dispatches one cell at a time through the case table
+``_hodge``, with the same precedence.
 
 The public functions take a :class:`Hypersurface`, which checks ``n, d >= 1``;
 the core below them (``_hodge``, ``_h0``, the cached helpers) takes ``(n, d)``.
@@ -234,9 +234,9 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
 
     By the conormal sequence, ``h^{i,0}_q(X) = h^0(Omega^i_P|_X(q)) - h^{i-1,0}_{q-d}(X)``,
     whose first term is the ``j = 0`` cell of :func:`_pullback`; its ``a_1``
-    term is the defining equation itself, at ``(i, q) = (1, d)``.  The one
-    other correction is the hyperplane class at ``(i, q) = (2, d)`` when
-    ``n = 3``, where the step is instead pinned by the Euler characteristic.
+    term is the defining equation itself, at ``(i, q) = (1, d)``.  For ``n = 3``
+    the loop gives ``h^{2,0}_d = binom(d-1, 2) binom(d+2, 2)``, which the tests
+    check against the Euler characteristic for ``d = 1 .. 60``.
 
     The recursion is unrolled into a loop over the levels
     ``(i - k, q - kd)`` with alternating signs, ending in the section count
@@ -246,9 +246,6 @@ def _edge_h0(n: int, d: int, i: int, q: int) -> int:
     """
     total, sign = 0, 1
     while i > 0:
-        if n == 3 and i == 2 and q == d:
-            pinned = _chi_forms(3, d, 2, d) + _middle(3, d, d, 2) + _edge_h0(3, d, 1, -d)
-            return total + sign * pinned
         if q <= i:
             if q == i * d:
                 total += sign if i % 2 else -sign

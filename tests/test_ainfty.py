@@ -214,6 +214,45 @@ def test_bimodule_over_an_object_without_identity_is_a_precondition_violation():
     assert _validate_message(mod) == "M('a','b') is nonzero but object 'a' has no identity"
 
 
+def test_a_repeated_object_is_refused():
+    # each object is one block of every table, so a second copy would count its homs twice
+    cat = dual_numbers()
+    with pytest.raises(PreconditionViolation, match=r"^object '\*' is declared twice$"):
+        FiniteLinearCategory(QQ, cat.objects * 2, cat.dims, cat.compose, cat.identities)
+    with pytest.raises(PreconditionViolation, match=r"^object 'a' is declared twice$"):
+        FiniteLinearCategory(QQ, ["a", "b", "a"], {}, {}, {})
+
+
+def test_validate_refuses_an_object_without_a_unit():
+    one = QQ.one
+    # an arrow a -> b, but hom(a, a) = 0
+    cat = FiniteLinearCategory(QQ, ["a", "b"], {("a", "b"): 1, ("b", "b"): 1},
+                               {("a", "b", "b"): {(0, 0): {0: one}}, ("b", "b", "b"): {(0, 0): {0: one}}},
+                               {"b": {0: one}})
+    assert _validate_message(cat) == "object 'a' has arrows but no endomorphisms"
+    dual = dual_numbers()
+    no_identity = FiniteLinearCategory(QQ, dual.objects, dual.dims, dual.compose, {})
+    assert _validate_message(no_identity) == "object '*' has no identity"
+    # x is no unit of k[x]/(x^2): x . 1 = x != 1
+    x_as_unit = FiniteLinearCategory(QQ, dual.objects, dual.dims, dual.compose, {"*": {1: one}})
+    assert _validate_message(x_as_unit) == "identity law fails on basis element 0 of hom('*','*')"
+
+
+def test_bimodule_validate_refuses_a_unit_that_does_not_act():
+    broken = _augmentation_bimodule(left_extra={(0, 0): {}})  # 1 . e = 0
+    assert _validate_message(broken) == "unit action fails on M('*','*') basis element 0"
+
+
+def test_functor_validate_refuses_a_lost_identity_and_a_lost_product():
+    cat, one = dual_numbers(), QQ.one
+    to_x = LinearFunctor(cat, cat, {"*": "*"}, {("*", "*"): [{1: one}, {1: one}]})
+    assert _validate_message(to_x) == "functor does not preserve the identity of '*'"
+    # x -> 1 keeps the identity, but x x = 0 goes to 0 while 1 1 = 1
+    to_one = LinearFunctor(cat, cat, {"*": "*"}, {("*", "*"): [{0: one}, {0: one}]})
+    assert _validate_message(to_one) == (
+        "functor does not preserve composition on (1,1) in hom('*','*') x hom('*','*')")
+
+
 # -------------------------------------------------------------- differential
 def test_differential_of_central_degree0_cochain_vanishes():
     cat = dual_numbers()

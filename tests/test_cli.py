@@ -364,6 +364,14 @@ def test_parse_category_solves_identity():
     assert cat.id_basis_index("a") == 0
 
 
+def test_parse_category_solves_the_identities_left_out():
+    # object 1 keeps its id line; the identity of object 2 is solved for
+    text = format_category(a2_path_category())
+    assert "id 1 0\n" in text and "id 2 0\n" in text
+    cat = parse_category(text.replace("id 2 0\n", ""))
+    assert cat.identities == {"1": {0: 1}, "2": {0: 1}}
+
+
 def test_format_round_trip():
     cat = dual_numbers()
     text = format_category(cat)
@@ -479,6 +487,9 @@ MALFORMED_CATEGORIES = {
     "id-undeclared-object": ("id a 0", "id z 0", "undeclared object 'z'"),
     "id-out-of-range": ("id a 0", "id a 2", "index 2 out of range"),
     "negative-hom-dimension": ("hom a a 2", "hom a a 2\nhom a b -1", "negative dimension -1"),
+    # a second copy of an object used to double its homs in HH and pass verify
+    "object-declared-twice": ("objects a", "objects a a", "line 3: object 'a' is declared twice"),
+    "object-declared-again": ("objects a", "objects a\nobject a", "line 4: object 'a' is declared twice"),
 }
 
 
@@ -494,6 +505,22 @@ def test_malformed_category_files_are_format_errors(tmp_path, capsys, case):
     code, out, err = run(capsys, "ainfty", "hhdim", "--category", str(cat_file))
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and message in err
+    assert err.count("line ") <= 1  # a bad record is named by its line once
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_verify_reports_a_failed_unit_law_in_its_unitality_field(capsys):
+    # d phi for phi(1, 1) = 1 is closed, so the identities pass, but m_3(x, 1, 1) = x
+    code, out, _ = run(capsys, "ainfty", "verify", "--category", str(DATA / "dual_numbers.cat"),
+                       "--cochain", str(DATA / "unnormalized.cochain"), "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["passed"] == "false" and "first_failure_k" not in report
+    assert report["unitality"] == "m_3 does not vanish on an identity argument at ('a', 'a', 'a', 'a')"
+    code, out, _ = run(capsys, "ainfty", "verify", "--category", str(DATA / "dual_numbers.cat"),
+                       "--cochain", str(DATA / "unnormalized.cochain"))
+    assert code == 0 and out.splitlines()[-1] == "UNITALITY FAIL: " + report["unitality"]
 
 
 def test_cochain_target_out_of_range_is_a_format_error(tmp_path, capsys):

@@ -176,10 +176,13 @@ def test_propagate_ranks():
     # 0 -> V -> V -> 0 exact: dims [2, 2] gives ranks [2, 0]... not exact;
     # dims of an exact sequence 0 -> k -> k^2 -> k -> 0:
     assert propagate_ranks([1, 2, 1, 0]) == [1, 1, 0, 0]
-    with pytest.raises(ExactnessViolation):
+    with pytest.raises(ExactnessViolation, match="negative rank -1 after term 2"):
         propagate_ranks([0, 1, 0])
-    with pytest.raises(ExactnessViolation):
+    with pytest.raises(ExactnessViolation, match="negative rank -1 after term 1"):
         propagate_ranks([1, 0, 1])
+    # every rank is nonnegative, but the last map does not end in 0
+    with pytest.raises(ExactnessViolation, match="^sequence does not terminate: trailing rank 1$"):
+        propagate_ranks([1, 2])
 
 
 def test_ledger_matches_closed_form():
@@ -254,6 +257,9 @@ def test_profiles():
     assert push.dim(11) == hh_dim_on_X(X57, -1, 10)
     ker = hochschild_profile(X57, -8, "kernel")
     assert ker.dim(4) == 917
+    assert ker.dims == {**kernel_table(X57, -8), 11: 0}
+    with pytest.raises(PreconditionViolation, match="t - p = 0 lies in"):
+        hochschild_profile(X57, 0, "kernel")
     with pytest.raises(PreconditionViolation):
         hochschild_profile(X57, -8, "bogus")
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from oracles import (brute_projective_hodge, middle_alt_sum, miller_jacobian_series, recursive_chi_forms,
@@ -12,6 +15,8 @@ from thd import (
     projective_space_hodge,
     structure_sheaf_h0,
 )
+from thd import hodge
+from thd.combinatorics import binom
 from thd.hodge import _jacobian_series
 
 X57 = Hypersurface(5, 7)
@@ -160,6 +165,20 @@ def test_alternating_column_sums_match_euler_characteristic():
                 assert chi == euler_characteristic(X, i, p)
 
 
+def test_no_cell_formula_reads_the_euler_characteristic():
+    # chi checks every cell only while no cell is computed from it: the chi
+    # routines are read by euler_characteristic and by one another, nowhere else
+    chi = {"_chi_forms", "_chi_ambient_forms", "_chi_line"}
+    readers = {
+        getattr(stmt, "name", None)
+        for stmt in ast.parse(Path(hodge.__file__).read_text()).body
+        for node in ast.walk(stmt)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) in chi
+    }
+    assert "euler_characteristic" in readers
+    assert readers <= chi | {"euler_characteristic"}, readers - chi
+
+
 def test_upper_edge_vanishes_for_positive_twists():
     for n, d in GRID:
         X = Hypersurface(n, d)
@@ -279,10 +298,14 @@ def test_diamond_matches_hodge_number_cell_by_cell():
     # the center of an even n carries the middle-line value, delta included at p = 0
     assert diamond(Hypersurface(2, 4), 0).entries[1][1] == 20
     assert diamond(Hypersurface(4, 3), 0).entries[2][2] == _jacobian_series(4, 3)[3] + 1 == 21
-    # the pinned n = 3 edge at (i, q) = (2, d), and its Serre dual at (1, 3) for p = -d
-    for d in range(1, 10):
-        assert diamond(Hypersurface(3, d), d).entries[2][0] == recursive_edge_h0(3, d, 2, d), d
-        assert diamond(Hypersurface(3, d), -d).entries[1][3] == recursive_edge_h0(3, d, 2, d), d
+    # the n = 3 edge at (i, q) = (2, d), which the recursion pins by chi, and its
+    # Serre dual at (1, 3) for p = -d: both are h^0(Omega^2_{P^4}(d))
+    for d in range(1, 61):
+        X = Hypersurface(3, d)
+        row, want = diamond(X, d).entries[2], binom(d - 1, 2) * binom(d + 2, 2)
+        assert row[0] == recursive_edge_h0(3, d, 2, d) == want, d
+        assert diamond(X, -d).entries[1][3] == want, d
+        assert sum((-1) ** j * h for j, h in enumerate(row)) == euler_characteristic(X, 2, d), d
 
 
 def test_edges_match_the_recursion():

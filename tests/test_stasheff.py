@@ -202,6 +202,33 @@ def test_a_failing_m2_unit_law_names_its_hom_and_basis_element(field):
 
 
 @pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_a_differential_on_the_unit_fails_unitality(field):
+    # m_1(e_0) = e_1 and m_1(e_1) = 0: m_1 m_1 = 0 is the only identity with terms
+    A = AInfinityStructure(field, ["*"], {("*", "*"): (0, 1)}, {1: {(("*", "*"), (0,)): {1: field.one}}},
+                           {"*": {0: field.one}})
+    report = verify_stasheff(A, 4)
+    assert report.passed and not report.unital
+    assert report.unital_failure == "m_1(Id_'*') != 0"
+    assert report.summary() == "UNITALITY FAIL: m_1(Id_'*') != 0"
+    assert outcome(report) == outcome(exhaustive_stasheff(A, 4))
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
+def test_a_closed_cochain_that_sees_the_unit_fails_unitality(field):
+    # d phi on k[x]/(x^2) for phi(1, 1) = 1 is closed, but takes (x, 1, 1) to x
+    cat = dual_numbers(field)
+    mod = CentralBimodule.regular(cat)
+    eta = hochschild_differential(Cochain(cat, mod, 2, {(("*",) * 3, (0, 0)): {0: field.one}}))
+    assert eta.data[(("*",) * 4, (1, 0, 0))] == {1: field.one}
+    A = deform(cat, mod, eta)
+    report = verify_stasheff(A, 7)
+    assert report.passed and not report.unital
+    assert report.unital_failure == "m_3 does not vanish on an identity argument at ('*', '*', '*', '*')"
+    assert report.summary() == "UNITALITY FAIL: " + report.unital_failure
+    assert outcome(report) == outcome(exhaustive_stasheff(A, 7))
+
+
+@pytest.mark.parametrize("field", FIELDS.values(), ids=FIELDS.keys())
 def test_an_algebra_with_a_broken_unit_is_refused(field):
     one = field.one
     product_algebra(field).validate()
