@@ -38,8 +38,9 @@ Before the swap, :func:`hh_dimensions` splits an object whose identity is a
 sum of orthogonal idempotent basis vectors into one object per summand
 (:func:`~.category._split_idempotents`); HH is Morita invariant
 (Lowen-Van den Bergh, *Adv. Math.* 198, 2005), and the split cochain spaces
-are far smaller.  :func:`cocycle_space` returns cochains in the given basis,
-so it does not split.
+are far smaller.  It then reduces each ``d_k`` only on the keys that lead no
+pivot of ``d_{k-1}`` (:meth:`~.linalg.Echelon.lead_rows`).  :func:`cocycle_space`
+returns cochains in the given basis, so it does not split.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .category import (
     vadd,
     vclean,
 )
-from .linalg import exact_rank, multilinear, nullspace, raw
+from .linalg import Echelon, multilinear, nullspace, raw
 
 
 class Cochain:
@@ -313,6 +314,8 @@ def cochain_basis(
 
     Every identity must be a basis vector; no argument is an identity.
     """
+    if degree < 0:
+        raise PreconditionViolation("cochain degree must be >= 0")
     budget = budget or Budget()
     excluded = {a: cat.id_basis_index(a) for a in cat.objects if cat.dim(a, a)}
     for a, idx in excluded.items():
@@ -395,6 +398,13 @@ def hh_dimensions(
     Identities that split into idempotent basis vectors are split into objects first, which
     lowers ``Budget.spent``; an input that does not split is counted as given.  ``d_k`` is not
     assembled when degree ``k + 1`` has no basis keys: its rank is 0.
+
+    ``d_k`` is reduced only on the basis keys that lead no pivot of ``d_{k-1}`` ("clearing":
+    Chen-Kerber, EuroCG 2011; Bauer-Kerber-Reininghaus, 2014).  Those pivots span
+    ``im d_{k-1}``, which ``d_k`` kills, and with the keys off their leads they form a basis,
+    so the rank is exact and a cleared key's column is never built.  That needs ``d . d = 0``:
+    the numbers assume associative tables, which are not checked here.  On tables that are
+    not associative they are still nonnegative, and they are not Hochschild dimensions.
     """
     budget = budget or Budget()
     _refuse_before_rebuilding(cat, mod)
@@ -402,9 +412,13 @@ def hh_dimensions(
     cat, mod, _, _ = identity_basis_change(cat, mod)
     bases = [cochain_basis(cat, mod, k, budget) for k in range(up_to + 2)]
     tables = _tables(cat, mod, normalized=True)
-    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], budget, tables),
-                        cat.field) if bases[k + 1] else 0
-             for k in range(up_to + 1)]
+    ranks: List[int] = []
+    cleared: set = set()  # the positions in bases[k] that lead a pivot of d_{k-1}
+    for k in range(up_to + 1):
+        source = [key for j, key in enumerate(bases[k]) if j not in cleared]
+        cleared = Echelon(_differential_columns(cat, mod, source, bases[k + 1], budget, tables),
+                          cat.field, combos=False).lead_rows() if bases[k + 1] else set()
+        ranks.append(len(cleared))
     # dim HH^k = dim ker d_k - rank d_{k-1}
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
 

@@ -7,7 +7,8 @@ columns left to right and touches only the rows that hold a nonzero; rank, a
 nullspace basis and a particular solution all come out of it.  It picks its
 pivots in the sparsest rows first, so that elimination writes fewer new
 nonzeros (Markowitz, 1957; LaMacchia and Odlyzko, 1991).  That row order is
-internal: which columns are free depends only on the column order, and the
+internal (:meth:`Echelon.lead_rows` gives the leads in the caller's rows):
+which columns are free depends only on the column order, and the
 reduced-echelon kernel basis and the solution with every free variable zero
 are unique once they are fixed, so every output depends only on the order of
 the columns.  It reduces raw numbers, converted only at its boundary:
@@ -87,14 +88,16 @@ class Echelon:
 
     The rows are relabelled by how many columns hold them, fewest first and
     later rows first among equals; ``labels`` maps a row to its label, and
-    ``pivots`` and the residues of :meth:`reduce` are keyed by label.  A row
-    no column holds, as in a right-hand side, gets ``len(labels) + row``.
-    A pivot is stored with its leading entry scaled to one, together with the
-    combination of input columns that produces it (only pivot columns occur in
-    those); with ``combos`` false, as for the rank, none is built.  A column
-    that reduces to zero leaves its combination in ``null``: the kernel vector
-    with a one at that free column and zeros at the others, the basis reduced
-    row echelon form gives, in the same order.
+    ``pivots`` and the residues of :meth:`reduce` are keyed by label
+    (:meth:`lead_rows` gives the rows of the leads back).  A row no column
+    holds, as in a right-hand side, gets ``len(labels) + row``.  A pivot is
+    stored as ``(vec, inv, combo)``: the reduced column as it came, the
+    inverse of its leading entry, and the combination of input columns that
+    produces it (only pivot columns occur in those); with ``combos`` false, as
+    for the rank, none is built.  A column that reduces to zero leaves its
+    combination in ``null``: the kernel vector with a one at that free column
+    and zeros at the others, the basis reduced row echelon form gives, in the
+    same order.
     """
 
     def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
@@ -102,6 +105,7 @@ class Echelon:
         counts = Counter(itertools.chain.from_iterable(columns))
         rows = sorted(counts, reverse=True)
         rows.sort(key=counts.__getitem__)  # stable: later rows stay first among equals
+        self.rows = rows
         self.labels = dict(zip(rows, range(len(rows))))
         self.pivots: Dict[int, tuple] = {}
         self.null: List[Vec] = []
@@ -110,9 +114,13 @@ class Echelon:
             if vec:
                 lead = min(vec)
                 inv = pow(vec[lead], -1, p) if p else raw(field, Fraction(1, vec[lead]))
-                self.pivots[lead] = (axpy({}, vec, inv, p), combo and axpy({}, combo, inv, p))
+                self.pivots[lead] = (vec, inv, combo)
             elif combos:
                 self.null.append(self.export(combo, 1))
+
+    def lead_rows(self) -> set:
+        """The rows, as the columns number them, where the pivots lead."""
+        return {self.rows[lead] for lead in self.pivots}
 
     def export(self, vec: Vec, sign) -> Vec:
         """``sign * vec`` as field elements, in order of index."""
@@ -133,10 +141,11 @@ class Echelon:
             pivot = self.pivots.get(lead)
             if pivot is None:
                 break
-            factor = -vec[lead]
-            axpy(vec, pivot[0], factor, p)
+            pivot_vec, inv, pivot_combo = pivot
+            factor = -vec[lead] * inv % p if p else -vec[lead] * inv
+            axpy(vec, pivot_vec, factor, p)
             if combo is not None:
-                axpy(combo, pivot[1], factor, p)
+                axpy(combo, pivot_combo, factor, p)
         return vec, combo
 
 

@@ -15,6 +15,7 @@ failure, never as a silent pass.
 """
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
 from math import comb, factorial
@@ -30,8 +31,13 @@ from thd import (
     structure_sheaf_h0,
 )
 from thd.ainfty import Budget, CentralBimodule, Cochain, FiniteLinearCategory, StasheffReport
-from thd.ainfty.category import basis_vec, vclean
-from thd.ainfty.cochain import _differential_columns, differential_tables
+from thd.ainfty.category import _split_idempotents, basis_vec, vclean
+from thd.ainfty.cochain import (
+    _differential_columns,
+    cochain_basis,
+    differential_tables,
+    identity_basis_change,
+)
 from thd.ainfty.linalg import exact_rank, multilinear, vadd
 from thd.ainfty.structure import _check_unitality
 from thd.combinatorics import binom
@@ -466,6 +472,61 @@ def bar_hh_dimensions(cat, mod, up_to):
                         cat.field)
              for k in range(up_to + 1)]
     return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
+
+
+def full_rank_hh_dimensions(cat, mod, up_to):
+    """``dim HH^k`` for ``k <= up_to`` in the normalized model of ``hh_dimensions``, split and
+    with identities swapped in as it does, but with ``exact_rank`` of every column of every d_k."""
+    cat, mod = _split_idempotents(cat, mod) or (cat, mod)
+    cat, mod, _, _ = identity_basis_change(cat, mod)
+    bases = [cochain_basis(cat, mod, k) for k in range(up_to + 2)]
+    ranks = [exact_rank(_differential_columns(cat, mod, bases[k], bases[k + 1], Budget()), cat.field)
+             for k in range(up_to + 1)]
+    return [len(bases[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(up_to + 1)]
+
+
+# The Euler characteristic of HH(A, M) from the Cartan matrix alone: for a
+# category whose every End is one-dimensional and whose Cartan matrix
+# C_ab = dim hom(a, b) is invertible, sum_k (-1)^k dim HH^k(A, M) =
+# sum_{a,b} (C^-1)_ab dim M(a, b) (Happel, LNM 1404, 1989).  It reads only
+# dimensions of hom spaces, no product.  The alternating sum of rank-nullity
+# dimensions telescopes to that of the cochain spaces, so it checks the
+# cochain counts and that the complex has ended, not the individual ranks.
+
+
+def _inverse(matrix):
+    """The inverse of a square matrix of integers, over Q by Gauss-Jordan."""
+    n = len(matrix)
+    rows = [[Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [c / rows[col][col] for c in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [c - rows[r][col] * t for c, t in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def cartan_euler_characteristic(cat, mod):
+    """``sum_k (-1)^k dim HH^k(cat, mod)`` as ``sum_{a,b} (C^-1)_ab dim mod(a, b)``."""
+    objects = cat.objects
+    assert all(cat.dim(a, a) == 1 for a in objects), "an End is not one-dimensional"
+    inverse = _inverse([[cat.dim(a, b) for b in objects] for a in objects])
+    chi = sum(inverse[i][j] * mod.dim(a, b)
+              for i, a in enumerate(objects) for j, b in enumerate(objects))
+    assert chi.denominator == 1
+    return int(chi)
+
+
+def path_category(n, field):
+    """The path category of the linearly oriented quiver A_n: objects 0..n-1, hom(i, j) = k for i <= j."""
+    one, objects = field.one, range(n)
+    compose = {(a, b, c): {(0, 0): {0: one}}
+               for a, b, c in product(objects, repeat=3) if a <= b <= c}
+    dims = {(a, b): 1 for a in objects for b in objects if a <= b}
+    return FiniteLinearCategory(field, objects, dims, compose, {a: {0: one} for a in objects})
 
 
 # Beilinson's tilting bundle O + O(1) + .. + O(m) on P^m, kept test-side as a

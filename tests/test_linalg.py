@@ -17,7 +17,7 @@ from oracles import (
 )
 from thd.ainfty import QQ, PrimeField, build_example, example_names, field_by_name, hh_dimensions
 from thd.ainfty.fields import GFElement, is_prime
-from thd.ainfty.linalg import Echelon, exact_rank, nullspace, solve
+from thd.ainfty.linalg import Echelon, axpy, exact_rank, nullspace, solve
 from thd.errors import PreconditionViolation
 
 FIELDS = (QQ, PrimeField(PRIME), PrimeField(7))
@@ -166,8 +166,8 @@ def element_type(field):
 
 def assert_raw(field, echelon):
     """Raw values are ints in [0, p) over F_p; over Q a Fraction only when not integral."""
-    for vec, combo in echelon.pivots.values():
-        for value in list(vec.values()) + list((combo or {}).values()):
+    for vec, inv, combo in echelon.pivots.values():
+        for value in [*vec.values(), inv, *(combo or {}).values()]:
             if field == QQ:
                 assert type(value) is int or (type(value) is Fraction and value.denominator > 1)
             else:
@@ -189,6 +189,10 @@ def test_raw_elimination_matches_dense_oracles_on_wider_fields(field, rows, ncol
     assert_raw(field, echelon)
     rank = exact_rank(columns, field)
     assert rank == len(echelon.pivots) == dense_rank(rows)
+    # the column space meets the rows of the leads in full rank, so the pivots and the unit
+    # vectors off their leads form a basis
+    leads = echelon.lead_rows()
+    assert len(leads) == rank and dense_rank([rows[i] for i in sorted(leads)]) == rank
     basis = nullspace(columns, field)
     assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
     assert len(basis) == ncols - rank
@@ -209,19 +213,25 @@ def test_rational_pivots_mix_ints_and_fractions():
     cols = [{0: QQ.of(2), 1: QQ.of(3)}, {0: QQ.of(4), 1: QQ.of(1)}, {0: QQ.of("1/2"), 1: QQ.of(5)}]
     echelon = Echelon(cols, QQ)
     assert_raw(QQ, echelon)
-    raw = [v for vec, combo in echelon.pivots.values() for v in (*vec.values(), *combo.values())]
+    raw = [v for vec, inv, combo in echelon.pivots.values()
+           for v in (*vec.values(), inv, *combo.values())]
     assert {type(v) for v in raw} == {int, Fraction}
+    # a pivot is stored as it came, with the inverse of its leading entry
+    assert [(vec[lead], inv) for lead, (vec, inv, _) in sorted(echelon.pivots.items())] == [
+        (3, Fraction(1, 3)), (Fraction(10, 3), Fraction(3, 10))]
     (kernel,) = nullspace(cols, QQ)
     assert kernel == {0: Fraction(-39, 20), 1: Fraction(17, 20), 2: QQ.one}
     assert all(type(c) is Fraction for c in kernel.values())
-    # a Fraction whose denominator becomes one is an int again: 3/2 * 2 = 3
-    assert Echelon([{0: QQ.of(2), 1: QQ.of(3)}, {1: QQ.of(3)}], QQ).pivots[1][0] == {1: 1}
+    # a Fraction whose denominator becomes one is an int again: 3 * 1/3 = 1, 1/2 + 1/2 = 1
+    for target, vec, scale in (({}, {1: 3}, Fraction(1, 3)), ({1: Fraction(1, 2)}, {1: 1}, Fraction(1, 2))):
+        (value,) = axpy(target, vec, scale, 0).values()
+        assert value == 1 and type(value) is int
 
 
 def test_rank_builds_no_combinations_and_reads_plain_ints():
     F = PrimeField(7)
     cols = [{0: F.of(3), 2: F.one}, {0: F.of(6), 2: F.of(2)}, {1: F.of(5)}]
-    assert all(combo is None for _, combo in Echelon(cols, F, combos=False).pivots.values())
+    assert all(combo is None for _, _, combo in Echelon(cols, F, combos=False).pivots.values())
     assert exact_rank(cols, F) == len(Echelon(cols, F).pivots) == 2
     # ints are read as field elements: 7 is zero in F_7, 1/2 is 4
     assert exact_rank([{0: 7, 1: 0}], F) == 0
