@@ -36,6 +36,12 @@ def basis_vec(idx: int, field) -> Vec:
     return {idx: field.one}
 
 
+def _same_field(*objects) -> None:
+    """Refuse objects over different fields: their numbers would mix silently."""
+    if len(fields := {obj.field for obj in objects}) > 1:
+        raise PreconditionViolation("mixed fields: " + " and ".join(sorted(map(repr, fields))))
+
+
 def _basis_tuples(objects, slot_dims, keep=None, skip=None):
     """Every ``(chain, args)`` with ``args[k]`` in ``range(slot_dims[k](chain[k], chain[k + 1]))``.
 
@@ -60,12 +66,12 @@ def _slot(dim: int, left_out: Optional[int]):
     return range(dim) if left_out is None else [i for i in range(dim) if i != left_out]
 
 
-def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r):
+def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r, p):
     """The first basis triple with ``outer_l(inner_l(x, y), z) != outer_r(x, inner_r(y, z))``.
 
     ``x``, ``y`` and ``z`` run over ``range(n1)``, ``range(n2)`` and
     ``range(n3)`` in that nesting; each product maps two basis indices to a
-    vector.  Returns ``None`` when the law holds on every triple.
+    vector of characteristic ``p``.  Returns ``None`` when the law holds on every triple.
     """
     for x in range(n1):
         for y in range(n2):
@@ -73,10 +79,10 @@ def _first_nonassociative(n1, n2, n3, inner_l, outer_l, inner_r, outer_r):
             for z in range(n3):
                 lhs: Vec = {}
                 for k, coeff in xy.items():
-                    vadd(lhs, outer_l(k, z), coeff)
+                    vadd(lhs, outer_l(k, z), coeff, p)
                 rhs: Vec = {}
                 for k, coeff in inner_r(y, z).items():
-                    vadd(rhs, outer_r(x, k), coeff)
+                    vadd(rhs, outer_r(x, k), coeff, p)
                 if vclean(lhs) != vclean(rhs):
                     return x, y, z
     return None
@@ -88,11 +94,12 @@ def _unit_failure(dims, identities, left, right, field):
     ``e_i`` runs over the basis of ``dims[(a, b)]``, ``left`` and ``right`` take
     ``(a, b, c, x, y)`` as ``diag`` does; objects without ``identities`` are skipped.
     """
+    p = field.p
     for (a, b), d in dims.items():
         for i in range(d):
             e = {i: field.one}
-            if (a in identities and multilinear(partial(left, a, a, b), [identities[a], e]) != e or
-                    b in identities and multilinear(partial(right, a, b, b), [e, identities[b]]) != e):
+            if (a in identities and multilinear(partial(left, a, a, b), [identities[a], e], p) != e or
+                    b in identities and multilinear(partial(right, a, b, b), [e, identities[b]], p) != e):
                 return a, b, i
     return None
 
@@ -172,7 +179,7 @@ class FiniteLinearCategory:
             bad = _first_nonassociative(
                 self.dim(a, b), self.dim(b, c), self.dim(c, e),
                 partial(self.diag, a, b, c), partial(self.diag, a, c, e),
-                partial(self.diag, b, c, e), partial(self.diag, a, b, e),
+                partial(self.diag, b, c, e), partial(self.diag, a, b, e), f.p,
             )
             if bad:
                 x, y, z = bad
@@ -228,7 +235,7 @@ class Algebra:
         if bad:
             raise PreconditionViolation(f"unit law fails on basis element {bad[2]}")
         d, mult = self.dim, self.product
-        bad = _first_nonassociative(d, d, d, mult, mult, mult, mult)
+        bad = _first_nonassociative(d, d, d, mult, mult, mult, mult, self.field.p)
         if bad:
             i, j, k = bad
             raise PreconditionViolation(f"associativity fails on ({i},{j},{k})")
@@ -281,17 +288,17 @@ class CentralBimodule:
             # (x . m) . y = x . (m . y)
             if _first_nonassociative(cat.dim(a, b), self.dim(b, c), cat.dim(c, e),
                                      partial(self.lact, a, b, c), partial(self.ract, a, c, e),
-                                     partial(self.ract, b, c, e), partial(self.lact, a, b, e)):
+                                     partial(self.ract, b, c, e), partial(self.lact, a, b, e), f.p):
                 raise PreconditionViolation(f"bimodule actions do not commute at {at}")
             # (x diag y) . m = x . (y . m)
             if _first_nonassociative(cat.dim(a, b), cat.dim(b, c), self.dim(c, e),
                                      partial(cat.diag, a, b, c), partial(self.lact, a, c, e),
-                                     partial(self.lact, b, c, e), partial(self.lact, a, b, e)):
+                                     partial(self.lact, b, c, e), partial(self.lact, a, b, e), f.p):
                 raise PreconditionViolation(f"left action is not associative at {at}")
             # (m . x) . y = m . (x diag y)
             if _first_nonassociative(self.dim(a, b), cat.dim(b, c), cat.dim(c, e),
                                      partial(self.ract, a, b, c), partial(self.ract, a, c, e),
-                                     partial(cat.diag, b, c, e), partial(self.ract, a, b, e)):
+                                     partial(cat.diag, b, c, e), partial(self.ract, a, b, e), f.p):
                 raise PreconditionViolation(f"right action is not associative at {at}")
 
 
@@ -299,6 +306,7 @@ class LinearFunctor:
     """A k-linear functor between finite linear categories."""
 
     def __init__(self, source: FiniteLinearCategory, target: FiniteLinearCategory, obj_map, maps):
+        _same_field(source, target)
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
@@ -308,16 +316,16 @@ class LinearFunctor:
         return self.maps.get((a, b), [{}] * self.source.dim(a, b))[idx]
 
     def validate(self) -> None:
-        src, tgt, om = self.source, self.target, self.obj_map
+        src, tgt, om, p = self.source, self.target, self.obj_map, self.source.field.p
         for a in src.objects:
             if src.dim(a, a):
-                img = multilinear(partial(self.apply, a, a), [src.identity_vector(a)])
+                img = multilinear(partial(self.apply, a, a), [src.identity_vector(a)], p)
                 if img != vclean(tgt.identity_vector(om[a])):
                     raise PreconditionViolation(f"functor does not preserve the identity of {a!r}")
         for (a, b, c), (x, y) in _basis_tuples(src.objects, [src.dim] * 2):
-            lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)])
+            lhs = multilinear(partial(self.apply, a, c), [src.diag(a, b, c, x, y)], p)
             rhs = multilinear(partial(tgt.diag, om[a], om[b], om[c]),
-                              [self.apply(a, b, x), self.apply(b, c, y)])
+                              [self.apply(a, b, x), self.apply(b, c, y)], p)
             if lhs != rhs:
                 raise PreconditionViolation(
                     f"functor does not preserve composition on ({x},{y}) "
@@ -327,17 +335,18 @@ class LinearFunctor:
 
 def restricted_bimodule(F: LinearFunctor, M: CentralBimodule) -> CentralBimodule:
     """Pull a bimodule on the target category back along a functor."""
-    src, om, one = F.source, F.obj_map, F.source.field.one
+    _same_field(F.target, M)
+    src, om, one, p = F.source, F.obj_map, F.source.field.one, F.source.field.p
     def mdim(a, b):
         return M.dim(om[a], om[b])
     dims = {(a, b): d for a in src.objects for b in src.objects if (d := mdim(a, b))}
     left: Dict = {}
     right: Dict = {}
     for (a, b, c), (x, m) in _basis_tuples(src.objects, [src.dim, mdim]):
-        if v := multilinear(partial(M.lact, om[a], om[b], om[c]), [F.apply(a, b, x), {m: one}]):
+        if v := multilinear(partial(M.lact, om[a], om[b], om[c]), [F.apply(a, b, x), {m: one}], p):
             left.setdefault((a, b, c), {})[(x, m)] = v
     for (a, b, c), (m, x) in _basis_tuples(src.objects, [mdim, src.dim]):
-        if v := multilinear(partial(M.ract, om[a], om[b], om[c]), [{m: one}, F.apply(b, c, x)]):
+        if v := multilinear(partial(M.ract, om[a], om[b], om[c]), [{m: one}, F.apply(b, c, x)], p):
             right.setdefault((a, b, c), {})[(m, x)] = v
     return CentralBimodule(src, dims, left, right)
 
@@ -351,7 +360,7 @@ def _split_idempotents(cat: FiniteLinearCategory, mod: CentralBimodule):
     by no idempotent on a side, or when a nonzero table entry leaves its blocks; an idempotent that
     neither fixes nor kills a basis vector makes such an entry.
     """
-    one, parts = cat.field.one, {}
+    one, p, parts = cat.field.one, cat.field.p, {}
     for a in cat.objects:
         e = vclean(cat.identities.get(a, {}))
         if not set(e) <= set(range(cat.dim(a, a))):
@@ -367,8 +376,8 @@ def _split_idempotents(cat: FiniteLinearCategory, mod: CentralBimodule):
         for (a, b), d in dims.items():
             for x in range(d):
                 e = {x: one}
-                left = [multilinear(partial(lact, a, a, b), [u, e]) for _, u in parts.get(a, ())]
-                right = [multilinear(partial(ract, a, b, b), [e, u]) for _, u in parts.get(b, ())]
+                left = [multilinear(partial(lact, a, a, b), [u, e], p) for _, u in parts.get(a, ())]
+                right = [multilinear(partial(ract, a, b, b), [e, u], p) for _, u in parts.get(b, ())]
                 if e not in left or e not in right:
                     return None
                 key = (parts[a][left.index(e)][0], parts[b][right.index(e)][0])
@@ -407,14 +416,14 @@ def pair_index(h: int, g: int, gdim: int) -> int:
     return h * gdim + g
 
 
-def tensor_vec(vec: Vec, gvec: Vec, gdim: int) -> Vec:
+def tensor_vec(vec: Vec, gvec: Vec, gdim: int, p: int) -> Vec:
     out: Vec = {}
     for h, ch in vec.items():
         for g, cg in gvec.items():
-            val = ch * cg
-            if val:
+            if val := ch * cg % p if p else ch * cg:
                 out[pair_index(h, g, gdim)] = val
     return out
+
 
 
 def _gamma_products(gamma: Algebra, s: int) -> List[Tuple[Tuple[int, ...], Vec]]:
@@ -422,18 +431,19 @@ def _gamma_products(gamma: Algebra, s: int) -> List[Tuple[Tuple[int, ...], Vec]]
     products = [((), gamma.unit)]
     for _ in range(s):
         products = [(gs + (g,), p) for gs, prod in products for g in range(gamma.dim)
-                    if (p := multilinear(gamma.product, [prod, basis_vec(g, gamma.field)]))]
+                    if (p := multilinear(gamma.product, [prod, basis_vec(g, gamma.field)], gamma.field.p))]
     return products
 
 
-def _lift(args: Tuple[int, ...], vec: Vec, products, gdim: int):
+def _lift(args: Tuple[int, ...], vec: Vec, products, gamma: Algebra):
     """Lift one tensor entry along ``- (x) gamma``, arguments in diagram order.
 
     Yields ``((args_k (x) g_k)_k, vec (x) g_1 .. g_s)`` for each entry of
     ``products`` (from :func:`_gamma_products`) whose lifted value is nonzero.
     """
+    gdim = gamma.dim
     for gs, prod in products:
-        out = tensor_vec(vec, prod, gdim)
+        out = tensor_vec(vec, prod, gdim, gamma.field.p)
         if out:
             yield tuple(pair_index(h, g, gdim) for h, g in zip(args, gs)), out
 
@@ -442,7 +452,7 @@ def _lift_tables(gamma: Algebra, *tables) -> List[Dict]:
     """Each binary product table ``key -> {(x, y): Vec}`` lifted along ``- (x) gamma``."""
     products = _gamma_products(gamma, 2)
     return [{key: {lifted: out for args, vec in pairs.items()
-                   for lifted, out in _lift(args, vec, products, gamma.dim)}
+                   for lifted, out in _lift(args, vec, products, gamma)}
              for key, pairs in table.items()}
             for table in tables]
 
@@ -450,11 +460,12 @@ def _lift_tables(gamma: Algebra, *tables) -> List[Dict]:
 def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCategory:
     """Hom spaces tensored with an algebra; products multiply coefficients
     in argument (diagram) order."""
+    _same_field(cat, gamma)
     gd = gamma.dim
     dims = {k: v * gd for k, v in cat.dims.items()}
     (compose,) = _lift_tables(gamma, cat.compose)
     identities = {
-        a: tensor_vec(cat.identity_vector(a), gamma.unit, gd)
+        a: tensor_vec(cat.identity_vector(a), gamma.unit, gd, gamma.field.p)
         for a in cat.objects
         if cat.dim(a, a)
     }
@@ -462,6 +473,7 @@ def tensor_category(cat: FiniteLinearCategory, gamma: Algebra) -> FiniteLinearCa
 
 
 def tensor_bimodule(M: CentralBimodule, gamma: Algebra, tcat: FiniteLinearCategory) -> CentralBimodule:
+    _same_field(M, gamma, tcat)
     dims = {k: v * gamma.dim for k, v in M.dims.items()}
     left, right = _lift_tables(gamma, M.left, M.right)
     return CentralBimodule(tcat, dims, left, right)

@@ -62,6 +62,7 @@ from .category import (
     _entry_past_spaces,
     _gamma_products,
     _lift,
+    _same_field,
     _split_idempotents,
     _unit_failure,
     restricted_bimodule,
@@ -79,13 +80,15 @@ class Cochain:
     def __init__(self, cat: FiniteLinearCategory, mod: CentralBimodule, degree: int, data=None):
         if degree < 0:
             raise PreconditionViolation("cochain degree must be >= 0")
+        _same_field(cat, mod)
         self.cat = cat
         self.mod = mod
         self.degree = degree
         self.data: Dict[Tuple[Tuple, Tuple[int, ...]], Vec] = {}
+        of = cat.field.of  # a value is read into the field: -1 over F_p is stored as p - 1
         for (chain, args), vec in (data or {}).items():
             self._check_key(chain, args, vec)
-            if vec := vclean(vec):
+            if vec := {m: v for m, c in vec.items() if (v := of(c))}:
                 self.data[(chain, args)] = vec
 
     @classmethod
@@ -119,15 +122,16 @@ class Cochain:
 
     def evaluate(self, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
         """Multilinear evaluation on arrow vectors (not just basis arrows)."""
-        return multilinear(lambda *args: self.data.get((chain, args), {}), arg_vecs)
+        return multilinear(lambda *args: self.data.get((chain, args), {}), arg_vecs, self.cat.field.p)
 
     def is_zero(self) -> bool:
         return not any(self.data.values())
 
     def scaled(self, c) -> "Cochain":
+        of = self.cat.field.of
         return Cochain._built(
             self.cat, self.mod, self.degree,
-            {k: {i: c * v for i, v in vec.items()} for k, vec in self.data.items()},
+            {k: {i: of(c * v) for i, v in vec.items()} for k, vec in self.data.items()},
         )
 
     def __add__(self, other: "Cochain") -> "Cochain":
@@ -136,7 +140,7 @@ class Cochain:
         data = {k: dict(v) for k, v in self.data.items()}
         for k, vec in other.data.items():
             target = data.setdefault(k, {})
-            vadd(target, vec, self.cat.field.one)
+            vadd(target, vec, 1, self.cat.field.p)
         return Cochain._built(self.cat, self.mod, self.degree, data)
 
     def __eq__(self, other) -> bool:
@@ -266,7 +270,7 @@ def _block_columns(tables, chain: Tuple, args: Tuple[int, ...], ms, budget: Budg
 
 
 def hochschild_differential(f: Cochain, budget: Optional[Budget] = None) -> Cochain:
-    """The bar differential ``df``: the raw :func:`_coboundary` exported as field elements."""
+    """The bar differential ``df``: the raw :func:`_coboundary` in the field's type (``field.of``)."""
     data: Dict = {}
     for (chain, args, m), c in _coboundary(f, budget).items():
         data.setdefault((chain, args), {})[m] = f.cat.field.of(c)
@@ -283,7 +287,7 @@ def _coboundary(f: Cochain, budget: Optional[Budget] = None) -> Dict:
     ``f``.
     """
     budget, field, mod = budget or Budget(), f.cat.field, f.mod
-    p, tables = getattr(field, "p", 0), differential_tables(f.cat, mod)
+    p, tables = field.p, differential_tables(f.cat, mod)
     index: Dict = {}
     keys: List = []  # keys[row] is the (chain, args, m) of a row
 
@@ -366,14 +370,14 @@ def identity_basis_change(cat: FiniteLinearCategory, mod: CentralBimodule):
             swaps[a] = (min(e), e)
     if not swaps:
         return cat, mod, None, None
-    one = cat.field.one
+    one, p = cat.field.one, cat.field.p
     into = {key: [{i: one} for i in range(d)] for key, d in cat.dims.items()}
     back = dict(into)
     for a, (j, e) in swaps.items():
-        inv = one / e[j]  # e_j = inv (e_a - sum_{k != j} c_k e_k)
+        inv = pow(e[j], -1, p) if p else one / e[j]  # e_j = inv (e_a - sum_{k != j} c_k e_k)
         back[(a, a)] = [e if i == j else v for i, v in enumerate(into[(a, a)])]
-        into[(a, a)] = [{k: (one if k == j else -c) * inv for k, c in e.items()} if i == j else v
-                        for i, v in enumerate(into[(a, a)])]
+        into[(a, a)] = [{k: cat.field.of((one if k == j else -c) * inv) for k, c in e.items()}
+                        if i == j else v for i, v in enumerate(into[(a, a)])]
     identities = {**cat.identities, **{a: {j: one} for a, (j, _) in swaps.items()}}
     copy = FiniteLinearCategory(cat.field, cat.objects, cat.dims, {}, identities)
     objects = {a: a for a in cat.objects}
@@ -381,8 +385,8 @@ def identity_basis_change(cat: FiniteLinearCategory, mod: CentralBimodule):
     for a, b, c in cat.compose:
         for x in range(cat.dim(a, b)):
             for y in range(cat.dim(b, c)):
-                xy = multilinear(partial(cat.diag, a, b, c), [back[(a, b)][x], back[(b, c)][y]])
-                if v := multilinear(partial(into_f.apply, a, c), [xy]):
+                xy = multilinear(partial(cat.diag, a, b, c), [back[(a, b)][x], back[(b, c)][y]], p)
+                if v := multilinear(partial(into_f.apply, a, c), [xy], p):
                     copy.compose.setdefault((a, b, c), {})[(x, y)] = v
     return copy, restricted_bimodule(back_f, mod), into_f, back_f
 
@@ -468,11 +472,11 @@ def cup_with_identity(eta: Cochain, gamma: Algebra) -> Cochain:
     on the tensored category, with coefficients in the tensored bimodule.
     Cocycles map to cocycles.
     """
-    n, gd = eta.degree, gamma.dim
+    n = eta.degree
     tcat = tensor_category(eta.cat, gamma)
     products = _gamma_products(gamma, n)
     data = {(chain, lifted): out for (chain, args), vec in eta.data.items()
-            for lifted, out in _lift(args, vec, products, gd)}
+            for lifted, out in _lift(args, vec, products, gamma)}
     return Cochain._built(tcat, tensor_bimodule(eta.mod, gamma, tcat), n, data)
 
 

@@ -1,7 +1,11 @@
 """Exact coefficient fields: rationals and prime fields.
 
-Field elements support ``+ - * /``, equality and truthiness (nonzero).
-Floating point is never used; every rank computation stays exact.
+A field is one number type: ``Fraction`` over Q, and over F_p an ``int``
+reduced into ``[0, p)``, so a value is nonzero exactly when it is truthy.
+``field.of`` reads an int, a ``Fraction`` or a string ``"p/q"`` into the
+field; ``p`` is the characteristic, 0 for Q, and code that adds or
+multiplies values over F_p reduces the result ``% p`` itself.  Floating
+point is never used; every rank computation stays exact.
 """
 
 from __future__ import annotations
@@ -35,22 +39,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _fraction(value) -> Fraction:
+    """``value`` as a ``Fraction``; a zero denominator is a ``ValueError`` that names it."""
+    if not isinstance(value, (int, Fraction, str)):
+        raise TypeError(f"cannot read {value!r} as a coefficient")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+
+
 class Rationals:
     """The field of rationals, with ``fractions.Fraction`` elements."""
 
     name = "Q"
+    p = 0
 
     zero = Fraction(0)
     one = Fraction(1)
 
     def of(self, value) -> Fraction:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise TypeError(f"cannot coerce {value!r} into Q")
+        return value if type(value) is Fraction else _fraction(value)
 
     def __repr__(self) -> str:
         return "Q"
@@ -62,95 +71,24 @@ class Rationals:
         return hash("Q")
 
 
-class GFElement:
-    """An element of a prime field, reduced representative in ``[0, p)``."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other) -> "GFElement":
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return GFElement(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 class PrimeField:
-    """The field with ``p`` elements; a modulus that is not prime is refused."""
+    """The field with ``p`` elements, as ints in ``[0, p)``; a modulus that is not prime is refused."""
+
+    zero, one = 0, 1
 
     def __init__(self, p: int = DEFAULT_PRIME):
         if not is_prime(p):
             raise PreconditionViolation(f"field order {p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.zero = GFElement(0, p)
-        self.one = GFElement(1, p)
 
-    def of(self, value) -> GFElement:
-        if isinstance(value, GFElement):
-            if value.p != self.p:
-                raise ValueError("mixed prime fields")
-            return value
-        if isinstance(value, int):
-            return GFElement(value, self.p)
-        if isinstance(value, Fraction):
-            return GFElement(value.numerator, self.p) / GFElement(value.denominator, self.p)
-        if isinstance(value, str):
-            return self.of(Fraction(value))
-        raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+    def of(self, value) -> int:
+        if type(value) is int:
+            return value % self.p
+        q = _fraction(value)
+        if q.denominator % self.p == 0:
+            raise ValueError(f"coefficient {value!r} has a denominator divisible by {self.p}")
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def __repr__(self) -> str:
         return self.name

@@ -1,6 +1,6 @@
 """Sparse exact linear algebra over an arbitrary field.
 
-A matrix is a list of sparse columns ``{row: value}`` of field elements or raw
+A matrix is a list of sparse columns ``{row: value}`` of field values or raw
 numbers (:func:`raw`), as the Hochschild differential hands in: a few nonzeros
 per column among thousands of rows.  One routine, :class:`Echelon`, reduces the
 columns left to right and touches only the rows that hold a nonzero; rank, a
@@ -11,10 +11,12 @@ internal (:meth:`Echelon.lead_rows` gives the leads in the caller's rows):
 which columns are free depends only on the column order, and the
 reduced-echelon kernel basis and the solution with every free variable zero
 are unique once they are fixed, so every output depends only on the order of
-the columns.  It reduces raw numbers, converted only at its boundary:
-ints in ``[0, p)`` over F_p, and over Q an int wherever the value is integral
-and a ``Fraction`` only otherwise.  Values leave as field elements.  Its one
-update, :func:`axpy`, also sums the Stasheff verifier's joins.
+the columns.  It reduces raw numbers: over F_p the field's own ints in
+``[0, p)``, and over Q an int wherever the value is integral and a
+``Fraction`` only otherwise (:func:`raw`).  Values leave in the field's type
+(``field.of``), so only Q converts at the boundary.  Its one update,
+:func:`axpy`, also sums the Stasheff verifier's joins and every F_p sum of
+:func:`vadd`; ``p`` is the characteristic, 0 for Q.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from typing import Dict, List, Optional, Sequence
 Vec = Dict[int, object]
 
 
-def vadd(target: Vec, vec: Vec, scale) -> None:
-    """target += scale * vec, dropping zeros."""
+def vadd(target: Vec, vec: Vec, scale, p: int) -> None:
+    """target += scale * vec in characteristic ``p``, dropping zeros; over Q a value keeps its type."""
+    if p:
+        axpy(target, vec, scale, p)
+        return
     for k, c in vec.items():
         val = target.get(k)
         val = c * scale if val is None else val + c * scale
@@ -38,7 +43,7 @@ def vadd(target: Vec, vec: Vec, scale) -> None:
             del target[k]
 
 
-def multilinear(product, arg_vecs: Sequence[Vec]) -> Vec:
+def multilinear(product, arg_vecs: Sequence[Vec], p: int) -> Vec:
     """Extend ``product``, basis indices -> Vec, multilinearly to the vectors ``arg_vecs``."""
     if not arg_vecs:
         return {k: c for k, c in product().items() if c}
@@ -48,37 +53,37 @@ def multilinear(product, arg_vecs: Sequence[Vec]) -> Vec:
         for _, c in picks[1:]:
             scale = scale * c
         if scale:
-            vadd(out, product(*(i for i, _ in picks)), scale)
+            vadd(out, product(*(i for i, _ in picks)), scale, p)
     return out
 
 
 def raw(field, value):
     """``value`` as a raw number: an int in [0, p) over F_p, else an int or a Fraction."""
-    p = getattr(field, "p", 0)
     if type(value) is int:
-        return value % p if p else value
+        return value % field.p if field.p else value
     value = field.of(value)
-    return value.value if p else value.numerator if value.denominator == 1 else value
+    return value if field.p or value.denominator != 1 else value.numerator
 
 
 def axpy(target: Vec, vec: Vec, scale, p: int) -> Vec:
-    """target += scale * vec on nonzero raw values of characteristic ``p``, dropping zeros.
+    """target += scale * vec on raw values of characteristic ``p``, dropping zeros.
 
     Tests ``p`` once: over F_p a sum is taken ``% p``, over Q one that is
-    integral is kept as an int.  Returns target.
+    integral is kept as an int, and ``scale`` and every value must be nonzero.
+    Returns target.
     """
     get = target.get
     if p:
         for k, c in vec.items():
             if val := (get(k, 0) + c * scale) % p:
                 target[k] = val
-            else:  # scale * c is never zero, so k was in target
-                del target[k]
+            else:
+                target.pop(k, None)
         return target
     for k, c in vec.items():
         if val := get(k, 0) + c * scale:
             target[k] = val.numerator if type(val) is Fraction and val.denominator == 1 else val
-        else:
+        else:  # scale * c is never zero, so k was in target
             del target[k]
     return target
 
@@ -101,7 +106,7 @@ class Echelon:
     """
 
     def __init__(self, columns: Sequence[Vec], field, combos: bool = True):
-        self.field, self.p = field, p = field, getattr(field, "p", 0)
+        self.field, self.p = field, p = field, field.p
         counts = Counter(itertools.chain.from_iterable(columns))
         rows = sorted(counts, reverse=True)
         rows.sort(key=counts.__getitem__)  # stable: later rows stay first among equals
@@ -123,7 +128,7 @@ class Echelon:
         return {self.rows[lead] for lead in self.pivots}
 
     def export(self, vec: Vec, sign) -> Vec:
-        """``sign * vec`` as field elements, in order of index."""
+        """``sign * vec`` read into the field (``field.of``), in order of index."""
         return {k: self.field.of(sign * c) for k, c in sorted(vec.items())}
 
     def reduce(self, col: Vec, combo: Optional[Vec]):

@@ -34,6 +34,7 @@ from .category import (
     Vec,
     _gamma_products,
     _lift,
+    _same_field,
     _unit_failure,
     basis_vec,
     tensor_category,
@@ -41,7 +42,7 @@ from .category import (
     vclean,
 )
 from .cochain import Cochain, _coboundary
-from .linalg import axpy, multilinear, raw
+from .linalg import axpy, multilinear
 
 OpsTable = Dict[int, Dict[Tuple[Tuple, Tuple[int, ...]], Vec]]
 
@@ -72,7 +73,7 @@ class AInfinityStructure:
         return self.ops.get(s, {}).get((chain, args), {})
 
     def apply_vecs(self, s: int, chain: Tuple, arg_vecs: List[Vec]) -> Vec:
-        return multilinear(lambda *args: self.apply(s, chain, args), arg_vecs)
+        return multilinear(lambda *args: self.apply(s, chain, args), arg_vecs, self.field.p)
 
 
 def from_linear_category(cat: FiniteLinearCategory) -> AInfinityStructure:
@@ -166,20 +167,20 @@ def verify_stasheff(A: AInfinityStructure, k_max: int, budget: Optional[Budget] 
     Each nonzero term ``m_u(.., m_s(..), ..)`` joins an inner ``m_s`` entry
     with an outer ``m_u`` entry whose slot ``r`` takes the inner output;
     only these joins are evaluated (one budget charge each) and summed per
-    ``(chain, args)`` on raw numbers (:func:`~.linalg.axpy`); the residual
-    leaves as field elements.  The first failure is the smallest key with a
+    ``(chain, args)`` by :func:`~.linalg.axpy`; the residual leaves in the
+    field's type (``field.of``).  The first failure is the smallest key with a
     nonzero residual at the smallest failing ``k``: chains ordered by the
     positions of their objects in ``A.objects``, then ``args``.  Also checks
     strict unitality: ``m_1(Id) = 0``, ``m_2`` unit laws, and ``m_s``
     vanishing on any identity argument for ``s != 2``.
     """
     budget = budget or Budget()
-    field, support, p = A.field, A.support(), getattr(A.field, "p", 0)
+    field, support, p = A.field, A.support(), A.field.p
     position = {a: i for i, a in enumerate(A.objects)}
-    entries = {s: [(chain, args, {i: v for i, c in vec.items() if (v := raw(field, c))})
+    entries = {s: [(chain, args, vclean(vec))
                    for (chain, args), vec in A.ops[s].items()
                    if _is_basis_key(A, position, s, chain, args)] for s in support}
-    # inner[s]: one (chain, args, output key, raw coefficient) per output of an m_s entry
+    # inner[s]: one (chain, args, output key, coefficient) per output of an m_s entry
     inner = {s: [(chain, args, (chain[0], chain[-1], y), c)
                  for chain, args, vec in entries[s] for y, c in vec.items()] for s in support}
     # outer[(u, r)][(chain[r], chain[r + 1], args[r])]: the m_u entries split around slot r,
@@ -271,6 +272,7 @@ def tensor_with_algebra(obj, gamma: Algebra):
     if not isinstance(obj, AInfinityStructure):
         raise PreconditionViolation(f"cannot tensor object of type {type(obj).__name__}")
     A = obj
+    _same_field(A, gamma)
     gd = gamma.dim
     basis = {}
     for key, degrees in A.basis.items():
@@ -279,8 +281,8 @@ def tensor_with_algebra(obj, gamma: Algebra):
     for s, table in A.ops.items():
         products = _gamma_products(gamma, s)
         ops[s] = {(chain, lifted): out for (chain, args), vec in table.items()
-                  for lifted, out in _lift(args, vec, products, gd)}
+                  for lifted, out in _lift(args, vec, products, gamma)}
     units = {}
     for a, unit in A.units.items():
-        units[a] = tensor_vec(unit, gamma.unit, gd)
+        units[a] = tensor_vec(unit, gamma.unit, gd, gamma.field.p)
     return AInfinityStructure(A.field, A.objects, basis, ops, units)

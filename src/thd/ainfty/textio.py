@@ -57,15 +57,17 @@ def _require_index(objects, dims, lineno: int, idx: int, a, b) -> None:
 
 
 def parse_category(text: str) -> FiniteLinearCategory:
-    field = QQ
+    field = None
     objects: List[str] = []
     dims: Dict = {}
-    records: List = []  # (lineno, a, b, c, out, in1, in2, coeff)
+    records: List = []  # (lineno, a, b, c, out, in1, in2, coefficient token)
     explicit_ids: Dict = {}
     for lineno, tok in _tokens(text):
         kind = tok[0]
         try:
             if kind == "field":
+                if field is not None:
+                    raise ValueError(f"a second field record, after field {field.name}")
                 field = field_by_name(" ".join(tok[1:]))
             elif kind in ("object", "objects"):
                 for a in tok[1:]:
@@ -80,11 +82,12 @@ def parse_category(text: str) -> FiniteLinearCategory:
             elif kind == "id":
                 explicit_ids[tok[1]] = (lineno, int(tok[2]))
             elif kind == "compose":
-                records.append((lineno, *tok[1:4], *map(int, tok[4:7]), field.of(tok[7])))
+                records.append((lineno, *tok[1:4], *map(int, tok[4:7]), tok[7]))
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:  # a bad record, named by its line
             raise FormatError(f"line {lineno}: {exc}") from exc
+    field = field or QQ
     if not objects:
         raise FormatError("no objects declared")
     for (a, b) in dims:
@@ -94,8 +97,12 @@ def parse_category(text: str) -> FiniteLinearCategory:
     for lineno, a, b, c, out, in1, in2, coeff in records:
         for idx, src, tgt in ((in2, a, b), (in1, b, c), (out, a, c)):
             _require_index(objects, dims, lineno, idx, src, tgt)
+        try:  # read after the whole file, so the field record applies wherever it stands
+            coeff = field.of(coeff)
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
         vec = compose.setdefault((a, b, c), {}).setdefault((in2, in1), {})
-        vec[out] = vec.get(out, field.zero) + coeff
+        vec[out] = field.of(vec.get(out, 0) + coeff)
     for a, (lineno, idx) in explicit_ids.items():
         _require_index(objects, dims, lineno, idx, a, a)
     compose = {
@@ -138,8 +145,7 @@ def parse_cochain(text: str, cat: FiniteLinearCategory,
                 (target,) = (int(x) for x in parts[2])
                 (coeff_tok,) = parts[3]
                 vec = data.setdefault((chain, args), {})
-                c = cat.field.of(coeff_tok)
-                vec[target] = vec.get(target, cat.field.zero) + c
+                vec[target] = vec.get(target, 0) + cat.field.of(coeff_tok)
             else:
                 raise ValueError(f"unknown record {kind!r}")
         except (IndexError, ValueError) as exc:  # a bad record, named by its line

@@ -137,10 +137,16 @@ def brute_projective_hodge(m: int, p: int, i: int, j: int) -> int:
 
 # Dense Gaussian elimination over any field: the routines the library used
 # before its sparse elimination core, kept as oracles for it.  Matrices are
-# lists of row lists of field elements.
+# lists of row lists of field values (``field.of``); every result is reduced
+# back into the field, so over F_p the ints stay in [0, p).
 
 
-def dense_rank(rows):
+def _div(a, b, field):
+    """``a / b`` in ``field``; over F_p through the inverse of ``b`` mod p."""
+    return field.of(a * pow(b, -1, field.p)) if field.p else a / b
+
+
+def dense_rank(rows, field):
     """Rank by row reduction; the input is not modified."""
     m = [list(r) for r in rows]
     if not m:
@@ -155,11 +161,11 @@ def dense_rank(rows):
         pv = m[rank][col]
         for r in range(rank + 1, len(m)):
             if m[r][col]:
-                factor = m[r][col] / pv
+                factor = _div(m[r][col], pv, field)
                 row = m[r]
                 prow = m[rank]
                 for c in range(col, ncols):
-                    row[c] = row[c] - factor * prow[c]
+                    row[c] = field.of(row[c] - factor * prow[c])
         rank += 1
         if rank == len(m):
             break
@@ -180,9 +186,9 @@ def dense_nullspace(rows, ncols, field):
         pv = m[rank][col]
         for r in range(len(m)):
             if r != rank and m[r][col]:
-                factor = m[r][col] / pv
+                factor = _div(m[r][col], pv, field)
                 for c in range(col, ncols):
-                    m[r][c] = m[r][c] - factor * m[rank][c]
+                    m[r][c] = field.of(m[r][c] - factor * m[rank][c])
         pivots.append(col)
         rank += 1
         if rank == len(m):
@@ -194,7 +200,7 @@ def dense_nullspace(rows, ncols, field):
         vec[fc] = field.one
         for r, pc in enumerate(pivots):
             if m[r][fc]:
-                vec[pc] = -(m[r][fc] / m[r][pc])
+                vec[pc] = field.of(-_div(m[r][fc], m[r][pc], field))
         basis.append(vec)
     return basis
 
@@ -212,9 +218,9 @@ def dense_solve(rows, rhs, ncols, field):
         pv = aug[rank][col]
         for r in range(len(aug)):
             if r != rank and aug[r][col]:
-                factor = aug[r][col] / pv
+                factor = _div(aug[r][col], pv, field)
                 for c in range(col, ncols + 1):
-                    aug[r][c] = aug[r][c] - factor * aug[rank][c]
+                    aug[r][c] = field.of(aug[r][c] - factor * aug[rank][c])
         pivots.append(col)
         rank += 1
     for r in range(rank, len(aug)):
@@ -222,7 +228,7 @@ def dense_solve(rows, rhs, ncols, field):
             return None
     sol = [field.zero] * ncols
     for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols] / aug[r][col]
+        sol[col] = _div(aug[r][ncols], aug[r][col], field)
     return sol
 
 
@@ -290,7 +296,7 @@ def exhaustive_stasheff(A, k_max, budget=None):
                             outer_args = args[:r] + (y,) + args[r + s :]
                             out = A.apply(u, outer_chain, outer_args)
                             if out:
-                                vadd(total, out, scale * cy)
+                                vadd(total, out, scale * cy, A.field.p)
                 residual = {i: c for i, c in total.items() if c}
                 if residual:
                     return StasheffReport(
@@ -318,9 +324,9 @@ def per_key_hochschild_differential(f, budget=None):
         if not vec:
             return
         budget.charge()
-        vadd(out.setdefault((chain, args), {}), vec, scale)
+        vadd(out.setdefault((chain, args), {}), vec, scale, cat.field.p)
 
-    one = cat.field.one
+    one, p = cat.field.one, cat.field.p
     minus = -one
     if n == 0:
         for (chain0, _), vec in f.data.items():
@@ -328,11 +334,11 @@ def per_key_hochschild_differential(f, budget=None):
             for a in cat.objects:
                 for x in range(cat.dim(a, b)):
                     add((a, b), (x,),
-                        multilinear(partial(mod.lact, a, b, b), [basis_vec(x, cat.field), vec]), one)
+                        multilinear(partial(mod.lact, a, b, b), [basis_vec(x, cat.field), vec], p), one)
             for c in cat.objects:
                 for x in range(cat.dim(b, c)):
                     add((b, c), (x,),
-                        multilinear(partial(mod.ract, b, b, c), [vec, basis_vec(x, cat.field)]), minus)
+                        multilinear(partial(mod.ract, b, b, c), [vec, basis_vec(x, cat.field)], p), minus)
         return Cochain(cat, mod, 1, out)
 
     # for each (a, c) and hom basis element k, the pairs u: a->b, v: b->c whose product hits it
@@ -347,7 +353,7 @@ def per_key_hochschild_differential(f, budget=None):
         for a in cat.objects:
             for x in range(cat.dim(a, x0)):
                 add((a,) + chain, (x,) + args,
-                    multilinear(partial(mod.lact, a, x0, xn), [basis_vec(x, cat.field), vec]), one)
+                    multilinear(partial(mod.lact, a, x0, xn), [basis_vec(x, cat.field), vec], p), one)
         for i in range(n):
             a, c = chain[i], chain[i + 1]
             for (b, u, v, coeff) in splits.get((a, c), {}).get(args[i], ()):
@@ -359,7 +365,7 @@ def per_key_hochschild_differential(f, budget=None):
         for c in cat.objects:
             for x in range(cat.dim(xn, c)):
                 add(chain + (c,), args + (x,),
-                    multilinear(partial(mod.ract, x0, xn, c), [vec, basis_vec(x, cat.field)]), s_sign)
+                    multilinear(partial(mod.ract, x0, xn, c), [vec, basis_vec(x, cat.field)], p), s_sign)
     return Cochain(cat, mod, n + 1, out)
 
 

@@ -556,6 +556,29 @@ def test_deform_refuses_a_cochain_of_another_category():
             deform(cat, regular(cat), square_zero_cocycle(), check=check)
 
 
+@pytest.mark.parametrize("other", [PrimeField(32003), QQ], ids=["F32003", "Q"])
+def test_objects_over_different_fields_are_refused_where_they_meet(other):
+    # both fields hold plain numbers, so a join across them would compute without an error
+    F7 = PrimeField(7)
+    cat, gamma = dual_numbers(F7), matrix_algebra(other)
+    joins = {
+        "tensor_with_algebra": lambda: tensor_with_algebra(cat, gamma),
+        "tensor_with_algebra on a structure": lambda: tensor_with_algebra(from_linear_category(cat), gamma),
+        "tensor_category": lambda: tensor_category(cat, gamma),
+        "tensor_bimodule": lambda: tensor_bimodule(regular(cat), gamma,
+                                                   tensor_category(dual_numbers(other), gamma)),
+        "Cochain": lambda: Cochain(cat, regular(dual_numbers(other)), 3, {}),
+        "LinearFunctor": lambda: LinearFunctor(cat, dual_numbers(other), {"*": "*"}, {}),
+        "restricted_bimodule": lambda: restricted_bimodule(
+            LinearFunctor(cat, cat, {"*": "*"}, {}), regular(dual_numbers(other))),
+    }
+    words = "mixed fields: " + " and ".join(sorted([repr(F7), repr(other)]))
+    for name, join in joins.items():
+        with pytest.raises(PreconditionViolation, match=f"^{words}$"):
+            join()
+    assert tensor_with_algebra(cat, matrix_algebra(F7)).field == F7
+
+
 BUNDLED_ALGEBRAS = (scalar_algebra, product_algebra, product_algebra_unit_basis, matrix_algebra)
 
 

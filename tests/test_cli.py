@@ -11,6 +11,7 @@ import thd.output
 from thd import Hypersurface, diamond, hh_dim_pushforward, kernel_dim
 from thd.ainfty import (
     FormatError,
+    PrimeField,
     format_category,
     format_cochain,
     parse_category,
@@ -490,6 +491,9 @@ MALFORMED_CATEGORIES = {
     # a second copy of an object used to double its homs in HH and pass verify
     "object-declared-twice": ("objects a", "objects a a", "line 3: object 'a' is declared twice"),
     "object-declared-again": ("objects a", "objects a\nobject a", "line 4: object 'a' is declared twice"),
+    # coefficients read before and after a second field record used to mix
+    "second-field-record": ("compose a a a 1 0 1 1", "field F7\ncompose a a a 1 0 1 1",
+                            "line 7: a second field record, after field Q"),
 }
 
 
@@ -506,6 +510,38 @@ def test_malformed_category_files_are_format_errors(tmp_path, capsys, case):
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and message in err
     assert err.count("line ") <= 1  # a bad record is named by its line once
+
+
+@pytest.mark.parametrize("field, coeff, message", [
+    ("Q", "1/0", "coefficient '1/0' has a zero denominator"),
+    ("F7", "1/0", "coefficient '1/0' has a zero denominator"),
+    ("F7", "1/7", "coefficient '1/7' has a denominator divisible by 7"),
+])
+def test_a_zero_denominator_is_a_format_error_naming_its_line(tmp_path, capsys, field, coeff, message):
+    category = CATEGORY_TEXT.replace("field Q", f"field {field}")
+    files = {"good.cat": category, "bad.cochain": COCHAIN_TEXT.replace(": 1 : 1", f": 1 : {coeff}"),
+             "bad.cat": category.replace("compose a a a 1 1 0 1", f"compose a a a 1 1 0 {coeff}")}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(FormatError, match=f"^line 8: {message}$"):
+        parse_category(files["bad.cat"])
+    with pytest.raises(FormatError, match=f"^line 2: {message}$"):
+        parse_cochain(files["bad.cochain"], parse_category(category))
+    bad_cat, good_cat, bad_cochain = (str(tmp_path / name) for name in ("bad.cat", "good.cat", "bad.cochain"))
+    for words, line in ((["hhdim", "--category", bad_cat], 8),
+                        (["deform", "--category", good_cat, "--cochain", bad_cochain], 2)):
+        code, out, err = run(capsys, "ainfty", *words)
+        assert (code, out, err) == (3, "", f"error: line {line}: {message}\n")
+
+
+def test_the_field_record_applies_to_every_coefficient_wherever_it_stands():
+    # coefficients before the field record were once read over Q, and the rest over the field
+    text = CATEGORY_TEXT + "compose a a a 0 1 1 -1/2\n"  # x . x = -1/2
+    first = parse_category(text.replace("field Q", "field F7"))
+    last = parse_category(text.replace("field Q\n", "") + "field F7\n")
+    assert last.field == first.field == PrimeField(7)
+    assert last.compose == first.compose == {("a", "a", "a"): {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                                               (1, 0): {1: 1}, (1, 1): {0: 3}}}
 
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -16,7 +16,7 @@ from oracles import (
     rank_mod_p,
 )
 from thd.ainfty import QQ, PrimeField, build_example, example_names, field_by_name, hh_dimensions
-from thd.ainfty.fields import GFElement, is_prime
+from thd.ainfty.fields import is_prime
 from thd.ainfty.linalg import Echelon, axpy, exact_rank, nullspace, solve
 from thd.errors import PreconditionViolation
 
@@ -76,7 +76,7 @@ def test_rank_matches_dense_and_modular_oracles(field, ints, known):
     ncols = len(ints[0]) if ints else 0
     rows = as_field(field, ints)
     rank = exact_rank(columns_of(rows, ncols), field)
-    assert rank == dense_rank(rows)
+    assert rank == dense_rank(rows, field)
     if known is not None:
         assert rank == known
     if ints and ncols:
@@ -104,7 +104,7 @@ def test_solve_matches_dense_oracle(field, ints, known):
     rows = as_field(field, ints)
     rng = random.Random(len(ints) * 31 + ncols)
     x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
-    image = [sum((r[j] * x0[j] for j in range(ncols)), field.zero) for r in rows]
+    image = [field.of(sum(r[j] * x0[j] for j in range(ncols))) for r in rows]
     other = [field.of(rng.randint(-2, 2)) for _ in rows]
     columns = columns_of(rows, ncols)
     for rhs in (image, other):
@@ -160,8 +160,9 @@ def wide_cases(seeds=range(200, 260)):
         yield field, rows, ncols
 
 
-def element_type(field):
-    return Fraction if field == QQ else GFElement
+def in_field(field, value):
+    """Whether ``value`` has the field's own type: a Fraction over Q, an int in [0, p) over F_p."""
+    return type(value) is Fraction if field == QQ else type(value) is int and 0 <= value < field.p
 
 
 def assert_raw(field, echelon):
@@ -180,7 +181,7 @@ def test_raw_elimination_matches_dense_oracles_on_wider_fields(field, rows, ncol
     before = [dict(col) for col in columns]
     rng = random.Random(ncols * 131 + len(rows))
     x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
-    image = {i: v for i, v in enumerate(sum((r[j] * x0[j] for j in range(ncols)), field.zero)
+    image = {i: v for i, v in enumerate(field.of(sum(r[j] * x0[j] for j in range(ncols)))
                                         for r in rows) if v}
     other = {i: field.of(rng.randint(-2, 2)) for i in range(len(rows))}
     rhs_before = (dict(image), dict(other))
@@ -188,11 +189,11 @@ def test_raw_elimination_matches_dense_oracles_on_wider_fields(field, rows, ncol
     echelon = Echelon(columns, field)
     assert_raw(field, echelon)
     rank = exact_rank(columns, field)
-    assert rank == len(echelon.pivots) == dense_rank(rows)
+    assert rank == len(echelon.pivots) == dense_rank(rows, field)
     # the column space meets the rows of the leads in full rank, so the pivots and the unit
     # vectors off their leads form a basis
     leads = echelon.lead_rows()
-    assert len(leads) == rank and dense_rank([rows[i] for i in sorted(leads)]) == rank
+    assert len(leads) == rank and dense_rank([rows[i] for i in sorted(leads)], field) == rank
     basis = nullspace(columns, field)
     assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
     assert len(basis) == ncols - rank
@@ -204,8 +205,8 @@ def test_raw_elimination_matches_dense_oracles_on_wider_fields(field, rows, ncol
             assert dense_vec(got, ncols, field) == want
             basis.append(got)
     assert solve(columns, image, field) is not None
-    # no bare int leaves linalg, and the caller's columns and rhs are untouched
-    assert all(type(c) is element_type(field) for vec in basis for c in vec.values())
+    # values leave in the field's type, and the caller's columns and rhs are untouched
+    assert all(in_field(field, c) for vec in basis for c in vec.values())
     assert columns == before and (image, other) == rhs_before
 
 
@@ -252,7 +253,7 @@ def raw_cases(seeds=range(400, 436)):
     for seed in seeds:
         rng = random.Random(seed)
         field = RAW_FIELDS[seed % len(RAW_FIELDS)]
-        p = getattr(field, "p", 0)
+        p = field.p
         nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
         ints = known_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
         raw_cols = [{} for _ in range(ncols)]
@@ -274,7 +275,7 @@ def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_co
     ncols = len(raw_cols)
     before = [dict(col) for col in raw_cols]
     rows = [[col.get(i, field.zero) for col in field_cols] for i in range(nrows)]
-    assert exact_rank(raw_cols, field) == exact_rank(field_cols, field) == dense_rank(rows)
+    assert exact_rank(raw_cols, field) == exact_rank(field_cols, field) == dense_rank(rows, field)
     basis = nullspace(raw_cols, field)
     assert basis == nullspace(field_cols, field)
     assert [dense_vec(v, ncols, field) for v in basis] == dense_nullspace(rows, ncols, field)
@@ -294,7 +295,7 @@ def test_raw_columns_reduce_as_their_field_elements_do(field, raw_cols, field_co
             assert dense_vec(got, ncols, field) == want
             basis.append(got)
     assert solve(raw_cols, image, field) is not None
-    assert all(type(c) is element_type(field) for vec in basis for c in vec.values())
+    assert all(in_field(field, c) for vec in basis for c in vec.values())
     assert raw_cols == before
 
 
@@ -310,7 +311,7 @@ def assert_row_order_free(field, columns, rhs_list, nrows, ncols, seed):
     moved_rows = [None] * nrows
     for i in range(nrows):
         moved_rows[perm[i]] = [field.of(col.get(i, 0)) for col in columns]
-    assert exact_rank(moved, field) == exact_rank(columns, field) == dense_rank(moved_rows)
+    assert exact_rank(moved, field) == exact_rank(columns, field) == dense_rank(moved_rows, field)
     basis, moved_basis = nullspace(columns, field), nullspace(moved, field)
     assert moved_basis == basis
     assert [[type(c) for c in v.values()] for v in moved_basis] == \
@@ -325,7 +326,7 @@ def assert_row_order_free(field, columns, rhs_list, nrows, ncols, seed):
         assert (x is None) == (want is None)
         if x is not None:
             assert dense_vec(x, ncols, field) == want
-            assert all(type(c) is element_type(field) for c in x.values())
+            assert all(in_field(field, c) for c in x.values())
 
 
 @pytest.mark.parametrize("field,rows,ncols", list(wide_cases()))
@@ -333,7 +334,7 @@ def test_row_order_does_not_change_any_output_on_wide_cases(field, rows, ncols):
     rng = random.Random(ncols * 7 + len(rows))
     x0 = [field.of(rng.randint(-2, 2)) for _ in range(ncols)]
     image = {i: v for i, r in enumerate(rows)
-             if (v := sum((r[j] * x0[j] for j in range(ncols)), field.zero))}
+             if (v := field.of(sum(r[j] * x0[j] for j in range(ncols))))}
     other = {i: field.of(rng.randint(-2, 2)) for i in range(len(rows))}
     assert_row_order_free(field, columns_of(rows, ncols), [image, other], len(rows), ncols,
                           seed=len(rows) * 13 + ncols)
@@ -354,13 +355,20 @@ def test_row_order_does_not_change_any_output_on_raw_columns(field, raw_cols, fi
 
 
 # ------------------------------------------------------------------- fields
-def test_division_from_the_left_by_field_elements():
+def test_field_of_reads_ints_fractions_and_strings_into_the_field_type():
     F = PrimeField(7)
-    assert 1 / F.of(3) == F.of(5)
-    assert 4 / F.of(2) == F.of(2)
-    assert 1 / QQ.of(3) == Fraction(1, 3)
-    with pytest.raises(ZeroDivisionError):
-        1 / F.zero
+    assert [F.of(v) for v in (3, -1, 7, Fraction(1, 3), "4/2", "-1/3", Fraction(14, 7))] == [
+        3, 6, 0, 5, 2, 2, 2]
+    assert all(type(F.of(v)) is int for v in (3, Fraction(1, 3), "2/3"))
+    assert (F.zero, F.one, F.p, QQ.p) == (0, 1, 7, 0)
+    assert [QQ.of(v) for v in (3, Fraction(1, 3), "-4/6")] == [3, Fraction(1, 3), Fraction(-2, 3)]
+    assert all(type(QQ.of(v)) is Fraction for v in (3, Fraction(1, 3), "2/3"))
+    for field, value in ((QQ, "1/0"), (F, "1/0"), (F, "1/7"), (F, Fraction(3, 14))):
+        with pytest.raises(ValueError, match="denominator"):
+            field.of(value)
+    for field in (QQ, F):
+        with pytest.raises(TypeError):
+            field.of(0.5)
 
 
 def test_is_prime_against_trial_division():

@@ -10,6 +10,8 @@ below were read off the library before the split existed, and the
 lead a pivot of the previous differential.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from oracles import as_one_algebra, bar_hh_dimensions, beilinson, identities_are_basis_vectors
@@ -127,13 +129,13 @@ def test_an_empty_target_basis_assembles_no_differential():
 
 def _twisted_m2(field):
     """M_2 in the basis E11, E22, E12 + E21, E12 - E21: E12 + E21 is fixed by no idempotent."""
-    one, half = field.one, field.one / field.of(2)
+    one, half = field.one, field.of(Fraction(1, 2))
     basis = [{(0, 0): one}, {(1, 1): one}, {(0, 1): one, (1, 0): one}, {(0, 1): one, (1, 0): -one}]
 
     def coords(mat):
         at = lambda r, c: mat.get((r, c), field.zero)
         vec = {0: at(0, 0), 1: at(1, 1), 2: (at(0, 1) + at(1, 0)) * half, 3: (at(0, 1) - at(1, 0)) * half}
-        return {k: c for k, c in vec.items() if c}
+        return {k: v for k, c in vec.items() if (v := field.of(c))}
 
     mult = {}
     for i, u in enumerate(basis):

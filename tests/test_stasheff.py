@@ -38,7 +38,6 @@ from thd.ainfty.examples import (
     product_algebra_unit_basis,
     square_zero_cocycle,
 )
-from thd.ainfty.fields import GFElement
 from thd.ainfty.structure import _check_unitality
 from thd.errors import BudgetExceeded, NotACocycle, PreconditionViolation
 
@@ -266,7 +265,7 @@ def _pipeline_category():
 
 
 def test_deform_check_and_differential_charge_as_before():
-    # Budget.spent pinned to the values of the GFElement implementation
+    # Budget.spent pinned: it counts terms, so the number type of the values does not move it
     cat, mod = _pipeline_category()
     rng = random.Random(0)
     eta = Cochain(cat, mod, 3, {})
@@ -281,15 +280,15 @@ def test_deform_check_and_differential_charge_as_before():
     budget = Budget()
     d = hochschild_differential(noncocycle, budget)
     assert budget.spent == 1550 and d == per_key_hochschild_differential(noncocycle)
-    assert {type(c) for vec in d.data.values() for c in vec.values()} == {GFElement}
+    assert all(type(c) is int and 0 < c < cat.field.p for vec in d.data.values() for c in vec.values())
     budget = Budget()
     with pytest.raises(NotACocycle):
         deform(cat, mod, noncocycle, budget=budget)
     assert budget.spent == 1550
 
 
-@pytest.mark.parametrize("field, kind", [(QQ, Fraction), (FIELDS["F7"], GFElement),
-                                         (FIELDS["F32003"], GFElement)], ids=["Q", "F7", "F32003"])
+@pytest.mark.parametrize("field, kind", [(QQ, Fraction), (FIELDS["F7"], int),
+                                         (FIELDS["F32003"], int)], ids=["Q", "F7", "F32003"])
 @pytest.mark.parametrize("scale", [Fraction(1, 2), Fraction(1, 3)], ids=["half", "third"])
 def test_noncocycle_deformations_with_fractional_coefficients(field, kind, scale):
     cat = dual_numbers(field)
@@ -300,11 +299,10 @@ def test_noncocycle_deformations_with_fractional_coefficients(field, kind, scale
     assert report.first_failure == (4, ("*",) * 5, (1, 1, 1, 1))
     assert report.residual == {3: field.of(-2 * scale)}
     assert {type(c) for c in report.residual.values()} == {kind}
+    assert kind is Fraction or all(0 < c < field.p for c in report.residual.values())
 
 
-def test_stasheff_joins_make_no_field_multiplications(monkeypatch):
-    # Only _check_unitality multiplies field elements; the joins and the
-    # deform check run on raw numbers.
+def test_pipeline_structures_pass_or_report_a_residual():
     cat, mod = _pipeline_category()
     F = cat.field
     eta = Cochain(cat, mod, 3, {})
@@ -318,24 +316,8 @@ def test_stasheff_joins_make_no_field_multiplications(monkeypatch):
     base = build_example("random-cocycle", F, seed=1)["structure"]
     structures = [deform(cat, mod, eta), deform(cat, mod, noncocycle, check=False),
                   tensor_with_algebra(base, matrix_algebra(F, 2))]
-    calls = []
-    multiply = GFElement.__mul__
-    def counted(self, other):
-        calls.append(1)
-        return multiply(self, other)
-    monkeypatch.setattr(GFElement, "__mul__", counted)
-    monkeypatch.setattr(GFElement, "__rmul__", counted)
-
-    def count(fn, *args, **kwargs):
-        calls.clear()
-        result = fn(*args, **kwargs)
-        return result, len(calls)
     for A in structures:
-        report, joined = count(verify_stasheff, A, 7)
-        _, unital = count(_check_unitality, A, Budget())
-        assert joined == (unital if report.passed else 0)
+        report = verify_stasheff(A, 7)
         assert report.passed or report.residual
-    assert count(deform, cat, mod, eta)[1] == 0
     with pytest.raises(NotACocycle):
         deform(cat, mod, noncocycle)
-    assert not calls
